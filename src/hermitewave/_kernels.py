@@ -80,14 +80,6 @@ def _hermite_fn_numpy(xi, c1, c2):
     return fk
 
 
-def _hermite_raw_numpy(n, y):
-    hn = np.ones_like(y)
-    hnm1 = np.zeros_like(y)
-    for k in range(n):
-        hnm1, hn = hn, 2.0 * y * hn - 2.0 * k * hnm1
-    return hn, hnm1
-
-
 # ---------------------------------------------------------------------------
 # numba implementations (same arithmetic, explicit loops)
 
@@ -106,20 +98,6 @@ def _hermite_fn_numba(xi, c1, c2):  # pragma: no cover - exercised via dispatch
     return out
 
 
-@njit(cache=True, nogil=True)
-def _hermite_raw_numba(n, y):  # pragma: no cover - exercised via dispatch
-    hn = np.empty_like(y)
-    hnm1 = np.empty_like(y)
-    for i in range(y.shape[0]):
-        a = 1.0
-        b = 0.0
-        for k in range(n):
-            b, a = a, 2.0 * y[i] * a - 2.0 * k * b
-        hn[i] = a
-        hnm1[i] = b
-    return hn, hnm1
-
-
 # ---------------------------------------------------------------------------
 # public profile kernels
 
@@ -131,14 +109,6 @@ def hermite_function_profile(n: int, xi) -> np.ndarray:
     if backend() == "numba":
         return _hermite_fn_numba(xi, c1, c2)
     return _hermite_fn_numpy(xi, c1, c2)
-
-
-def hermite_raw_profile(n: int, y):
-    """Raw polynomial values (H_n, H_{n-1}) over an array."""
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if backend() == "numba":
-        return _hermite_raw_numba(n, y)
-    return _hermite_raw_numpy(n, y)
 
 
 def density_profile(xs, n, t, t_c, m, hbar) -> np.ndarray:

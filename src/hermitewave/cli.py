@@ -2,9 +2,12 @@
 
 Every computation in the package is reachable as a subcommand that writes a
 figure-ready CSV or JSON artifact. Output is deterministic: identical
-configuration yields byte-identical files, floats are written in their
-shortest round-trip form, CSV uses UTF-8 with LF endings and a mandatory
-header row.
+configuration yields byte-identical files, with floats in their shortest
+round-trip form (``repr``), UTF-8 and LF endings. The grid commands stream
+their rows through one writer, ``_write_table``, one time slice or launch
+angle at a time. Its CSV is what ``csv.writer(lineterminator="\\n")`` writes
+and its JSON is exactly ``json.dump(..., indent=2, sort_keys=True)`` of
+``{"header": ..., "rows": ...}`` plus a final newline.
 
 Subcommands: density, peaks, caustic, paths, phasespace, observables,
 verify. The env var HERMITEWAVE_THREADS caps the worker pool used for grid
@@ -12,7 +15,6 @@ evaluation.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -29,7 +31,7 @@ from .errors import (BracketingError, ConvergenceError, DomainError,
 from .observables import AiryParams, table_report
 from .propagator_oracle import (SpectralGrid, analytic_field, compare_fields,
                                 spectral_propagate)
-from .semiclassics import (caustic, evolve_path, find_peaks,
+from .semiclassics import (PhasePoint, caustic, evolve_path, find_peaks,
                            initial_conditions, peak_hyperbola_n2)
 from .wavefunction import (GridSpec, WaveParams, psi, psi_initial,
                            psi_phase_flipped, residual_convergence,
@@ -105,28 +107,49 @@ def _worker_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def _write_rows(config: RunConfig, header, rows) -> str:
-    """Write a rectangular table as CSV or JSON, shortest-repr floats."""
-    path = config.output_path()
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cells(values, fmt: str) -> list:
+    """Each number as csv.writer (its ``repr``) or json.dump spells it."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    cells = list(map(repr, values))
+    if fmt == "json" and not _JSON_SPELLING.keys().isdisjoint(cells):
+        cells = [_JSON_SPELLING.get(c, c) for c in cells]
+    return cells
+
+
+def _write_table(config: RunConfig, header, blocks) -> int:
+    """Stream a table to ``config.output_path()``, one block at a time, and
+    print the path written.
+
+    A block is a tuple of equal-length columns of cells from ``_cells``, so
+    a value repeated down a column is formatted once. Bytes: shortest-repr
+    floats and LF endings; CSV as ``csv.writer(lineterminator="\\n")`` writes
+    it; JSON exactly as ``json.dump(..., indent=2, sort_keys=True)`` plus
+    ``"\\n"``, down to ``NaN``/``Infinity`` and an empty ``"rows": []``.
+    """
     if config.fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_plain(v) for v in row])
+        head, cell_sep, row_sep = ",".join(header) + "\n", ",", "\n"
+        first, tail, empty_tail = "", "\n", ""
     else:
-        payload = {"header": list(header),
-                   "rows": [[_plain(v) for v in row] for row in rows]}
-        _write_json(path, payload)
-    return path
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    return v
+        head = ('{\n  "header": [\n    ' + ",\n    ".join(map(json.dumps, header))
+                + '\n  ],\n  "rows": [')
+        cell_sep, row_sep = ",\n      ", "\n    ],\n    [\n      "
+        first, tail, empty_tail = "\n    [\n      ", "\n    ]\n  ]\n}\n", "]\n}\n"
+    path = config.output_path()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
+        lead = first
+        for columns in blocks:
+            if len(columns[0]):
+                fh.write(lead)
+                fh.write(row_sep.join(map(cell_sep.join, zip(*columns))))
+                lead = row_sep
+        fh.write(tail if lead is row_sep else empty_tail)
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _write_json(path: str, payload: dict) -> str:
@@ -147,85 +170,82 @@ def _branch_labels(count: int):
 
 def cmd_density(config: RunConfig) -> int:
     params = config.wave_params()
-    grid = config.grid()
-    xs = grid.xs()
-    ts = config.times
+    xs = config.grid().xs()
+    fmt = config.fmt
 
     def one_row(t):
         return _kernels.density_profile(xs, params.n, t, params.t_c,
                                         params.m, params.hbar)
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        profiles = list(pool.map(one_row, ts))
+        profiles = list(pool.map(one_row, config.times))
 
-    def rows():
-        for t, profile in zip(ts, profiles):
-            for x, d in zip(xs, profile):
-                yield (x, t, d)
-
-    path = _write_rows(config, ("x", "t", "density"), rows())
-    print(f"wrote {path}")
-    return EXIT_OK
+    x_cells = _cells(xs, fmt)
+    blocks = ((x_cells, _cells([t], fmt) * xs.size, _cells(profile, fmt))
+              for t, profile in zip(config.times, profiles))
+    return _write_table(config, ("x", "t", "density"), blocks)
 
 
 def cmd_peaks(config: RunConfig) -> int:
     params = config.wave_params()
+    fmt = config.fmt
 
-    def rows():
+    def blocks():
         for t in config.times:
             peaks = find_peaks(params, t)
-            labels = _branch_labels(peaks.size)
-            for x_peak, label in zip(peaks, labels):
-                yield (t, x_peak, label)
+            yield (_cells([t], fmt) * peaks.size, _cells(peaks, fmt),
+                   _cells(_branch_labels(peaks.size), fmt))
 
-    path = _write_rows(config, ("t", "x_peak", "branch"), rows())
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write_table(config, ("t", "x_peak", "branch"), blocks())
 
 
 def cmd_caustic(config: RunConfig) -> int:
     params = config.wave_params()
 
-    def rows():
+    def blocks():
         for t in config.times:
-            pair = caustic(params, t)
-            yield (t, pair.x_plus, pair.x_minus)
+            row = _cells((t, *caustic(params, t)), config.fmt)
+            yield tuple(zip(row))  # one slice: columns of one cell each
 
-    path = _write_rows(config, ("t", "x_plus", "x_minus"), rows())
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write_table(config, ("t", "x_plus", "x_minus"), blocks())
+
+
+def _path_blocks(config: RunConfig, per_angle: bool):
+    """Cells of the straight-line family: one block per launch angle with
+    columns (theta, t, x, p), or one per time with columns (t, theta, x, p).
+    ``evolve_path`` moves an array of times or of launch points; its
+    ``x + p * t / m`` rounds each element as it rounds a scalar.
+    """
+    params = config.wave_params()
+    fmt = config.fmt
+    angles = np.linspace(0.0, 2.0 * math.pi, config.thetas, endpoint=False)
+    starts = [initial_conditions(params, theta) for theta in angles.tolist()]
+    if per_angle:
+        ts = np.array(config.times)
+        t_cells = _cells(ts, fmt)
+        for start in starts:
+            moved = evolve_path(start, ts, params.m)
+            theta_cell, p_cell = _cells((start.theta, start.p), fmt)
+            yield ([theta_cell] * ts.size, t_cells, _cells(moved.x, fmt),
+                   [p_cell] * ts.size)
+    else:
+        ring = PhasePoint(x=np.array([s.x for s in starts]),
+                          p=np.array([s.p for s in starts]), theta=angles)
+        theta_cells, p_cells = _cells(angles, fmt), _cells(ring.p, fmt)
+        for t in config.times:
+            moved = evolve_path(ring, t, params.m)
+            yield (_cells([t], fmt) * angles.size, theta_cells,
+                   _cells(moved.x, fmt), p_cells)
 
 
 def cmd_paths(config: RunConfig) -> int:
-    params = config.wave_params()
-    angles = np.linspace(0.0, 2.0 * math.pi, config.thetas, endpoint=False)
-
-    def rows():
-        for theta in angles:
-            start = initial_conditions(params, float(theta))
-            for t in config.times:
-                moved = evolve_path(start, t, params.m)
-                yield (theta, t, moved.x, moved.p)
-
-    path = _write_rows(config, ("theta", "t", "x", "p"), rows())
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write_table(config, ("theta", "t", "x", "p"),
+                        _path_blocks(config, per_angle=True))
 
 
 def cmd_phasespace(config: RunConfig) -> int:
-    params = config.wave_params()
-    angles = np.linspace(0.0, 2.0 * math.pi, config.thetas, endpoint=False)
-
-    def rows():
-        for t in config.times:
-            for theta in angles:
-                start = initial_conditions(params, float(theta))
-                moved = evolve_path(start, t, params.m)
-                yield (t, theta, moved.x, moved.p)
-
-    path = _write_rows(config, ("t", "theta", "x", "p"), rows())
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write_table(config, ("t", "theta", "x", "p"),
+                        _path_blocks(config, per_angle=False))
 
 
 def cmd_observables(config: RunConfig) -> int:
@@ -369,28 +389,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if args.nt is None or args.t_min is None or args.t_max is None:
         raise DomainError("tmin, tmax, nt must all be set")
-    if args.nt < 1:
-        raise DomainError("nt must be >= 1")
-    if args.nt == 1:
-        times = (float(args.t_min),)
-    else:
-        times = tuple(float(t) for t in
-                      np.linspace(args.t_min, args.t_max, args.nt))
+    times = GridSpec(x_min=args.x_min, x_max=args.x_max, nx=args.nx,
+                     t_min=args.t_min, t_max=args.t_max, nt=args.nt).ts()
     config = RunConfig(
         command=args.command, n=args.n, t_c=args.t_c, hbar=args.hbar,
         m=args.m, x_min=args.x_min, x_max=args.x_max, nx=args.nx,
         t_min=args.t_min, t_max=args.t_max, nt=args.nt,
-        thetas=args.thetas, times=times, out=args.out, fmt=args.fmt,
-        tol=args.tol)
+        thetas=args.thetas, times=tuple(times.tolist()), out=args.out,
+        fmt=args.fmt, tol=args.tol)
     if config.command in _REPORT_COMMANDS and config.fmt != "json":
         raise DomainError(f"{config.command} emits a JSON report; "
                           f"--format csv is not available")
-    if config.tol <= 0.0:
+    if not config.tol > 0.0:
         raise DomainError("tol must be positive")
     if config.thetas < 3:
         raise DomainError("thetas must be >= 3")
-    config.wave_params()
-    config.grid()
+    params = config.wave_params()
+    for t in (0.0, *config.times):
+        spread = params.hbar * (params.t_c * params.t_c + t * t)
+        if not (spread > 0.0
+                and 0.0 < params.m * params.t_c / spread < math.inf):
+            raise DomainError(f"scale alpha(t) = m t_c / (hbar (t_c^2 + t^2)) "
+                              f"is not a positive finite number at t = {t}")
     return config
 
 

@@ -85,7 +85,10 @@ def path_family(params: WaveParams, thetas: Sequence[float]) -> PathFamily:
 
 
 def evolve_path(point: PhasePoint, t: float, m: float) -> PhasePoint:
-    """Free flight: x moves linearly, momentum is conserved."""
+    """Free flight: x moves linearly, momentum is conserved.
+
+    Broadcasts: ``t``, or the point's coordinates, may be numpy arrays.
+    """
     if m <= 0.0:
         raise DomainError("mass must be positive")
     return PhasePoint(x=point.x + point.p * t / m, p=point.p, theta=point.theta)

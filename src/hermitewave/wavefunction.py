@@ -55,8 +55,8 @@ class WaveParams:
             raise DomainError(f"order must be a non-negative integer, got {self.n}")
         if not (self.t_c > 0.0 and math.isfinite(self.t_c)):
             raise DomainError(f"t_c must be positive and finite, got {self.t_c}")
-        if self.hbar <= 0.0 or self.m <= 0.0:
-            raise DomainError("hbar and m must be positive")
+        if not all(v > 0.0 and math.isfinite(v) for v in (self.hbar, self.m)):
+            raise DomainError("hbar and m must be positive and finite")
 
     @property
     def omega(self) -> float:
@@ -76,6 +76,9 @@ class GridSpec:
     nt: Optional[int] = None
 
     def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.t_min, self.t_max)
+        if not all(math.isfinite(b) for b in bounds if b is not None):
+            raise DomainError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise DomainError("need x_min < x_max")
         if self.nx < 2:

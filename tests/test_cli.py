@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -6,9 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from hermitewave import _kernels
 from hermitewave.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                             RunConfig, main)
-from hermitewave.semiclassics import caustic
+                             RunConfig, _branch_labels, _cells, _write_table,
+                             main)
+from hermitewave.semiclassics import (caustic, evolve_path, find_peaks,
+                                      initial_conditions)
 from hermitewave.wavefunction import WaveParams
 
 
@@ -232,6 +236,15 @@ def test_config_errors(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     assert main(["paths", "--thetas", "2",
                  "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    # non-finite inputs and a scale alpha(t) that under- or overflows
+    for bad in (["density", "--tc", "1e-300"], ["density", "--tc", "1e200"],
+                ["density", "--xmin=-inf"], ["density", "--xmax", "nan"],
+                ["caustic", "--mass", "nan"], ["peaks", "--hbar", "inf"],
+                ["paths", "--tmin=-inf"], ["density", "--tmax", "1e200"],
+                ["verify", "--tol", "nan"]):
+        out = tmp_path / "bad.out"
+        assert main(bad + ["--out", str(out)]) == EXIT_CONFIG, bad
+        assert not out.exists(), bad
 
 
 def test_unwritable_path_is_io_error(tmp_path):
@@ -242,3 +255,83 @@ def test_unwritable_path_is_io_error(tmp_path):
 
 def test_unknown_subcommand_exits_two():
     assert main(["frobnicate"]) == 2
+
+
+def stdlib_bytes(fmt, header, rows):
+    """The artifact csv.writer or json.dump makes of Python numbers."""
+    buf = io.StringIO(newline="")
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        json.dump({"header": list(header), "rows": [list(r) for r in rows]},
+                  buf, indent=2, sort_keys=True)
+        buf.write("\n")
+    return buf.getvalue().encode("utf-8")
+
+
+_PARAMS = ["--n", "3", "--tc", "1.1", "--hbar", "0.9", "--mass", "0.45",
+           "--tmin", "-1.3", "--tmax", "2.1", "--nt", "4", "--xmin", "-5",
+           "--xmax", "6", "--nx", "7", "--thetas", "5"]
+
+
+def reference_rows(kind):
+    """Rows of each grid subcommand for ``_PARAMS`` as Python numbers, with
+    scalar launch points and free flight per (theta, t) row."""
+    p = WaveParams(n=3, t_c=1.1, hbar=0.9, m=0.45)
+    times = np.linspace(-1.3, 2.1, 4).tolist()
+    angles = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False).tolist()
+    xs = np.linspace(-5.0, 6.0, 7)
+    if kind == "density":
+        return [(x, t, d) for t in times
+                for x, d in zip(xs.tolist(), _kernels.density_profile(
+                    xs, p.n, t, p.t_c, p.m, p.hbar).tolist())]
+    if kind == "peaks":
+        return [(t, x, b) for t in times
+                for x, b in zip(find_peaks(p, t).tolist(),
+                                _branch_labels(p.n + 1))]
+    if kind == "caustic":
+        return [(t, *caustic(p, t)) for t in times]
+    moved = {(th, t): evolve_path(initial_conditions(p, th), t, p.m)
+             for th in angles for t in times}
+    if kind == "paths":
+        return [(th, t, moved[th, t].x, moved[th, t].p)
+                for th in angles for t in times]
+    return [(t, th, moved[th, t].x, moved[th, t].p)
+            for t in times for th in angles]
+
+
+_HEADERS = {"density": ("x", "t", "density"),
+            "peaks": ("t", "x_peak", "branch"),
+            "caustic": ("t", "x_plus", "x_minus"),
+            "paths": ("theta", "t", "x", "p"),
+            "phasespace": ("t", "theta", "x", "p")}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", list(_HEADERS))
+def test_grid_artifact_bytes_match_stdlib(tmp_path, kind, fmt):
+    out = tmp_path / f"{kind}.{fmt}"
+    assert main([kind, *_PARAMS, "--format", fmt,
+                 "--out", str(out)]) == EXIT_OK
+    rows = reference_rows(kind)
+    assert rows
+    assert out.read_bytes() == stdlib_bytes(fmt, _HEADERS[kind], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_non_finite_and_empty_tables(tmp_path, fmt):
+    config = RunConfig(command="density", out=str(tmp_path / "t"), fmt=fmt)
+    header = ("x", "t", "density")
+    row = (math.nan, math.inf, -math.inf)
+    rows = [(-0.0, 1e-300, 5), row, (2.5, 1e16, -7)]
+    blocks = [tuple(_cells([v], fmt) for v in rows[0]),
+              tuple(_cells(np.array([v]), fmt) for v in row),
+              ([], [], []),
+              tuple(_cells([v], fmt) for v in rows[2])]
+    _write_table(config, header, blocks)
+    assert (tmp_path / "t").read_bytes() == stdlib_bytes(fmt, header, rows)
+    for empty in ([], [([], [], [])]):
+        _write_table(config, header, empty)
+        assert (tmp_path / "t").read_bytes() == stdlib_bytes(fmt, header, [])

@@ -55,17 +55,6 @@ def test_hermite_function_high_order_stays_finite(be, monkeypatch):
     assert np.abs(vals).max() <= math.pi ** -0.25 + 1e-9
 
 
-def test_hermite_raw_profile_matches_recurrence():
-    from hermitewave.core_math import hermite_pair
-    ys = np.linspace(-3, 3, 101)
-    for n in (0, 1, 4, 9):
-        h_n, h_nm1 = _kernels.hermite_raw_profile(n, ys)
-        for j, y in enumerate(ys):
-            pair = hermite_pair(n, float(y))
-            assert h_n[j] == pytest.approx(pair.h_n, rel=1e-13, abs=1e-13)
-            assert h_nm1[j] == pytest.approx(pair.h_nm1, rel=1e-13, abs=1e-13)
-
-
 @pytest.mark.parametrize("be", ["numpy", "numba"])
 def test_profiles_match_scalar_routes(be, monkeypatch):
     if be == "numba" and not _kernels.HAVE_NUMBA:
