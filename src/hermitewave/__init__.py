@@ -7,7 +7,7 @@ moment tables with uncertainty products. See the command-line tool
 """
 
 from .core_math import (HermitePair, QuadratureResult, find_root,
-                        hermite_pair, integrate, log_norm_constant)
+                        hermite_pair, integrate)
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      GridMismatchError, GridTooSmallError)
 from .observables import (AiryParams, MomentRow, airy_closed_forms,
@@ -16,13 +16,12 @@ from .observables import (AiryParams, MomentRow, airy_closed_forms,
 from .propagator_oracle import (FieldComparison, SpectralField, SpectralGrid,
                                 analytic_field, compare_fields,
                                 spectral_propagate)
-from .semiclassics import (CausticBranch, CausticPair, PathFamily, PhasePoint,
-                           caustic, caustic_branches, enclosed_area,
-                           evolve_path, expected_area, find_peaks,
-                           initial_conditions, path_family,
-                           peak_condition_residual, peak_hyperbola_n2,
-                           phase_space_snapshot)
-from .wavefunction import (ComplexField, GridSpec, RealField, WaveParams,
+from .semiclassics import (CausticPair, PathFamily, PhasePoint, caustic,
+                           enclosed_area, evolve_path, expected_area,
+                           find_peaks, initial_conditions, path_family,
+                           peak_hyperbola_n2, phase_space_snapshot)
+from .wavefunction import (MAX_ORDER, ComplexField, GridSpec, RealField,
+                           WaveParams,
                            density, density_grid, energy, psi, psi_dx,
                            psi_initial, psi_phase_flipped,
                            residual_convergence, sample_field,
@@ -32,17 +31,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AiryParams", "BracketingError", "CausticBranch", "CausticPair",
+    "MAX_ORDER", "AiryParams", "BracketingError", "CausticPair",
     "ComplexField", "ConvergenceError", "DomainError", "FieldComparison",
     "GridMismatchError", "GridSpec", "GridTooSmallError", "HermitePair",
     "MomentRow", "PathFamily", "PhasePoint", "QuadratureResult", "RealField",
     "SpectralField", "SpectralGrid", "WaveParams",
-    "airy_closed_forms", "analytic_field", "caustic", "caustic_branches",
+    "airy_closed_forms", "analytic_field", "caustic",
     "closed_form_moments", "compare_fields", "density", "density_grid",
     "enclosed_area", "energy", "evolve_path", "expected_area", "find_peaks",
     "find_root", "hermite_pair", "initial_conditions", "integrate",
-    "log_norm_constant", "numeric_moments", "path_family",
-    "peak_condition_residual", "peak_hyperbola_n2", "phase_space_snapshot",
+    "numeric_moments", "path_family", "peak_hyperbola_n2",
+    "phase_space_snapshot",
     "psi", "psi_dx", "psi_initial", "psi_phase_flipped",
     "residual_convergence", "sample_field", "schrodinger_residual",
     "spectral_propagate", "spreading_check", "table_report",

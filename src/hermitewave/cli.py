@@ -12,6 +12,12 @@ and its JSON is exactly ``json.dump(..., indent=2, sort_keys=True)`` of
 Subcommands: density, peaks, caustic, paths, phasespace, observables,
 verify. The env var HERMITEWAVE_THREADS caps the worker pool used for grid
 evaluation.
+
+Exit codes: 0 success, 1 a check failed, 2 bad configuration (including an
+order above ``MAX_ORDER`` = 650), 3 numerical non-convergence, 4 I/O
+failure. ``verify``'s spectral oracle refuses, with a diagnostic, a box the
+packet outgrows and a grid too coarse for its momentum content (past the
+Nyquist wavenumber pi / dx).
 """
 
 import argparse
@@ -73,12 +79,6 @@ class RunConfig:
         d = asdict(self)
         d["times"] = list(self.times)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["times"] = tuple(float(t) for t in d.get("times", ()))
-        return cls(**d)
 
     def wave_params(self) -> WaveParams:
         return WaveParams(n=self.n, t_c=self.t_c, hbar=self.hbar, m=self.m)
@@ -406,9 +406,11 @@ def _config_from_args(args) -> RunConfig:
         raise DomainError("thetas must be >= 3")
     params = config.wave_params()
     for t in (0.0, *config.times):
-        spread = params.hbar * (params.t_c * params.t_c + t * t)
-        if not (spread > 0.0
-                and 0.0 < params.m * params.t_c / spread < math.inf):
+        try:
+            scale = params.alpha(t)
+        except ZeroDivisionError:  # t_c**2 + t**2 underflowed to 0
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
             raise DomainError(f"scale alpha(t) = m t_c / (hbar (t_c^2 + t^2)) "
                               f"is not a positive finite number at t = {t}")
     return config

@@ -1,9 +1,8 @@
 """Scalar numerical building blocks.
 
-Hermite polynomial pairs by upward recurrence, the log-domain normalization
-prefactor of the wavepacket family, an adaptive Gauss-Kronrod quadrature, and
-a bracketed bisection/secant root finder. Everything here is pure and
-reentrant.
+Hermite polynomial pairs by upward recurrence, an adaptive Gauss-Kronrod
+quadrature, and a bracketed bisection/secant root finder. Everything here is
+pure and reentrant.
 """
 
 import heapq
@@ -18,7 +17,6 @@ __all__ = [
     "HermitePair",
     "QuadratureResult",
     "hermite_pair",
-    "log_norm_constant",
     "integrate",
     "find_root",
 ]
@@ -56,25 +54,6 @@ def hermite_pair(n: int, y: float) -> HermitePair:
     for k in range(int(n)):
         hnm1, hn = hn, 2.0 * y * hn - 2.0 * k * hnm1
     return HermitePair(h_n=hn, h_nm1=hnm1, n=int(n), y=y)
-
-
-def log_norm_constant(params) -> float:
-    """Natural log of the time-independent wavepacket prefactor.
-
-    The prefactor is sqrt(1/n!) * (m/(hbar t_c pi))**(1/4) * 2**(-n/2),
-    evaluated via log-gamma so large orders cannot overflow. ``params`` needs
-    attributes n, t_c, m, hbar.
-    """
-    n, t_c, m, hbar = params.n, params.t_c, params.m, params.hbar
-    if t_c <= 0.0 or m <= 0.0 or hbar <= 0.0:
-        raise DomainError("t_c, m, hbar must all be positive")
-    if n < 0:
-        raise DomainError("order must be non-negative")
-    return (
-        -0.5 * math.lgamma(n + 1.0)
-        - 0.5 * n * math.log(2.0)
-        + 0.25 * math.log(m / (hbar * t_c * math.pi))
-    )
 
 
 # ---------------------------------------------------------------------------

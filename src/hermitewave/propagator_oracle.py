@@ -118,7 +118,10 @@ def spectral_propagate(initial: SpectralField, t: float, m: float,
     Refuses (GridTooSmallError) when the packet, spread to its estimated
     width at the target time, would sit within six sigma of the box edge:
     a periodic grid silently wraps leakage back into the window instead of
-    losing it, so a too-small box corrupts the answer without warning.
+    losing it, so a too-small box corrupts the answer without warning. It
+    likewise refuses when the momentum content reaches past the grid's
+    Nyquist wavenumber, |<k>| + 6 sigma_k > pi / dx, since aliased modes
+    pick up the wrong phase. The box is checked first.
     """
     if m <= 0.0 or hbar <= 0.0:
         raise DomainError("m and hbar must be positive")
@@ -133,6 +136,12 @@ def spectral_propagate(initial: SpectralField, t: float, m: float,
         raise GridTooSmallError(
             f"packet needs |x| <= {reach:.3g} at t = {t} but the box ends at "
             f"{half:.3g}; enlarge length or nx")
+    k_reach = (abs(mean_p) + 6.0 * math.sqrt(var_p)) / hbar
+    nyquist = math.pi / initial.grid.dx
+    if k_reach > nyquist:
+        raise GridTooSmallError(
+            f"packet needs |k| <= {k_reach:.3g} but the grid's Nyquist "
+            f"wavenumber is {nyquist:.3g}; raise nx")
     ks = initial.grid.ks()
     spectrum = np.fft.fft(initial.values)
     spectrum *= np.exp(-0.5j * hbar * ks * ks * dt / m)

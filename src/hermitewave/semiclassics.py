@@ -21,7 +21,6 @@ __all__ = [
     "PhasePoint",
     "PathFamily",
     "CausticPair",
-    "CausticBranch",
     "initial_conditions",
     "path_family",
     "evolve_path",
@@ -29,8 +28,6 @@ __all__ = [
     "enclosed_area",
     "expected_area",
     "caustic",
-    "caustic_branches",
-    "peak_condition_residual",
     "find_peaks",
     "peak_hyperbola_n2",
 ]
@@ -57,14 +54,6 @@ class PathFamily:
 class CausticPair(NamedTuple):
     x_plus: float
     x_minus: float
-
-
-@dataclass(frozen=True)
-class CausticBranch:
-    """Samples (t, x) along one signed branch of the fold envelope."""
-
-    sign: int
-    samples: np.ndarray
 
 
 def initial_conditions(params: WaveParams, theta: float) -> PhasePoint:
@@ -136,32 +125,6 @@ def caustic(params: WaveParams, t: float) -> CausticPair:
     return CausticPair(x_plus=r, x_minus=-r)
 
 
-def caustic_branches(params: WaveParams, ts: Sequence[float]):
-    """Both branches sampled along ``ts``; each holds (t, x) rows."""
-    ts = np.asarray(ts, dtype=float)
-    upper = np.empty((ts.size, 2))
-    lower = np.empty((ts.size, 2))
-    for i, t in enumerate(ts):
-        pair = caustic(params, float(t))
-        upper[i] = (t, pair.x_plus)
-        lower[i] = (t, pair.x_minus)
-    return (CausticBranch(sign=+1, samples=upper),
-            CausticBranch(sign=-1, samples=lower))
-
-
-def peak_condition_residual(params: WaveParams, x: float, t: float) -> float:
-    """2n H_{n-1}(xi) - xi H_n(xi) at the scaled coordinate xi(x, t).
-
-    The x-derivative of the density factorizes as
-    -2 sqrt(alpha) H_n(xi) * (this expression) * exp(-xi**2) * const,
-    so its zeros away from the nodes of H_n are exactly the density ridges.
-    """
-    alpha = params.m * params.t_c / (params.hbar * (params.t_c ** 2 + t ** 2))
-    xi = math.sqrt(alpha) * x
-    pair = hermite_pair(params.n, xi)
-    return 2.0 * params.n * pair.h_nm1 - xi * pair.h_n
-
-
 def find_peaks(params: WaveParams, t: float) -> np.ndarray:
     """All density maxima in x at time t, ascending.
 
@@ -171,8 +134,7 @@ def find_peaks(params: WaveParams, t: float) -> np.ndarray:
     n + 1 of them.
     """
     n = params.n
-    alpha = params.m * params.t_c / (params.hbar * (params.t_c ** 2 + t ** 2))
-    sqrt_a = math.sqrt(alpha)
+    sqrt_a = math.sqrt(params.alpha(t))
     xi_max = math.sqrt(2.0 * n + 1.0) + 4.0
 
     def g(xi):

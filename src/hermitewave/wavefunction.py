@@ -8,7 +8,7 @@ as sqrt(t_c**2 + t**2) while staying node-for-node self-similar.
 Two independent evaluation routes are kept deliberately separate: ``psi`` is
 the time-dependent closed form, ``psi_initial`` re-builds the t = 0 profile
 from oscillator quantities. Tests compare them rather than deriving one from
-the other.
+the other. Orders up to ``MAX_ORDER`` (650) are accepted.
 """
 
 import cmath
@@ -19,10 +19,15 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core_math import hermite_pair, integrate, log_norm_constant
+# hermite_pair is not called here; it stays importable as
+# ``wavefunction.hermite_pair`` because perfbench/tracing.py wraps that name.
+from .core_math import hermite_pair, integrate  # noqa: F401
 from .errors import DomainError
 
+MAX_ORDER = _kernels.MAX_ORDER
+
 __all__ = [
+    "MAX_ORDER",
     "WaveParams",
     "GridSpec",
     "ComplexField",
@@ -41,9 +46,17 @@ __all__ = [
 ]
 
 
+_LN2 = math.log(2.0)
+_RESCALE_ABOVE = 2.0 ** 500  # psi_initial's raw H_n is rescaled past this
+
+
 @dataclass(frozen=True)
 class WaveParams:
-    """Parameters of one wavepacket: order, coherence time, units."""
+    """Parameters of one wavepacket: order, coherence time, units.
+
+    Orders above ``MAX_ORDER`` are refused: the evaluation core cannot
+    represent their outer lobes in double precision (see ``_kernels``).
+    """
 
     n: int
     t_c: float = 1.0
@@ -53,6 +66,9 @@ class WaveParams:
     def __post_init__(self):
         if self.n < 0 or self.n != int(self.n):
             raise DomainError(f"order must be a non-negative integer, got {self.n}")
+        if self.n > MAX_ORDER:
+            raise DomainError(f"order {self.n} is above the supported limit "
+                              f"{MAX_ORDER}")
         if not (self.t_c > 0.0 and math.isfinite(self.t_c)):
             raise DomainError(f"t_c must be positive and finite, got {self.t_c}")
         if not all(v > 0.0 and math.isfinite(v) for v in (self.hbar, self.m)):
@@ -62,6 +78,11 @@ class WaveParams:
     def omega(self) -> float:
         """Frequency of the t = 0 oscillator profile."""
         return 1.0 / self.t_c
+
+    def alpha(self, t: float) -> float:
+        """alpha(t) = m t_c / (hbar (t_c**2 + t**2)); the envelope is
+        exp(-alpha x**2 / 2)."""
+        return _kernels.alpha(t, self.t_c, self.m, self.hbar)
 
 
 @dataclass(frozen=True)
@@ -121,74 +142,60 @@ class RealField:
     values: np.ndarray
 
 
-def _spread_denominator(params: WaveParams, t: float) -> float:
-    return params.t_c ** 2 + t ** 2
-
-
-def _inverse_width_sq(params: WaveParams, t: float) -> float:
-    """alpha(t) = m t_c / (hbar (t_c**2 + t**2)); envelope is exp(-alpha x**2 / 2)."""
-    return params.m * params.t_c / (params.hbar * _spread_denominator(params, t))
-
-
 def psi(params: WaveParams, x: float, t: float) -> complex:
-    """Scalar closed-form wavefunction at (x, t).
-
-    Prefactor assembled in the log domain so large orders stay finite; the
-    Hermite factor uses the raw upward recurrence.
-    """
+    """Scalar closed-form wavefunction at (x, t)."""
     if not (math.isfinite(x) and math.isfinite(t)):
         raise DomainError("x and t must be finite")
-    alpha = _inverse_width_sq(params, t)
-    xi = math.sqrt(alpha) * x
-    denom = _spread_denominator(params, t)
-    log_env = (
-        log_norm_constant(params)
-        - 0.25 * math.log1p((t / params.t_c) ** 2)
-        - 0.5 * alpha * x * x
-    )
-    phase = (
-        params.m * x * x * t / (2.0 * params.hbar * denom)
-        - (params.n + 0.5) * math.atan2(t, params.t_c)
-    )
-    h = hermite_pair(params.n, xi).h_n
-    return h * math.exp(log_env) * cmath.exp(1j * phase)
+    scale = params.alpha(t)
+    phi, _ = _kernels.hermite_function_pair(params.n, math.sqrt(scale) * x)
+    return scale ** 0.25 * phi * _carrier(params, x, t)[1]
+
+
+def _carrier(params: WaveParams, x: float, t: float):
+    """(chirp, exp(i (chirp x**2 - gouy))): the phase factor of psi."""
+    chirp, gouy = _kernels.phase_terms(params.n, t, params.t_c, params.m,
+                                       params.hbar)
+    return chirp, cmath.exp(1j * (chirp * x * x - gouy))
 
 
 def psi_initial(params: WaveParams, x: float) -> complex:
     """Oscillator-eigenfunction route to the t = 0 profile.
 
     Built from omega alone: (m omega / (pi hbar))**(1/4) / sqrt(2**n n!)
-    times exp(-m omega x**2 / (2 hbar)) H_n(sqrt(m omega / hbar) x).
+    times exp(-m omega x**2 / (2 hbar)) H_n(sqrt(m omega / hbar) x). H_n
+    comes from the raw recurrence, rescaled by powers of two so that it
+    cannot overflow, and the prefactor from lgamma; nothing is shared with
+    the normalized recurrence behind ``psi``.
     """
     if not math.isfinite(x):
         raise DomainError("x must be finite")
-    w = params.omega
-    scale = params.m * w / params.hbar
+    n = params.n
+    scale = params.m * params.omega / params.hbar
     y = math.sqrt(scale) * x
-    norm = (scale / math.pi) ** 0.25 / math.sqrt(
-        2.0 ** params.n * math.factorial(params.n))
-    return complex(norm * math.exp(-0.5 * y * y) * hermite_pair(params.n, y).h_n)
+    hn, hnm1, exponent = 1.0, 0.0, 0
+    for k in range(n):
+        hnm1, hn = hn, 2.0 * y * hn - 2.0 * k * hnm1
+        if abs(hn) > _RESCALE_ABOVE:
+            _, shift = math.frexp(hn)
+            hn, hnm1 = math.ldexp(hn, -shift), math.ldexp(hnm1, -shift)
+            exponent += shift
+    log_norm = (0.25 * math.log(scale / math.pi)
+                - 0.5 * (n * _LN2 + math.lgamma(n + 1.0)))
+    return complex(hn * math.exp(log_norm - 0.5 * y * y + exponent * _LN2))
 
 
 def psi_dx(params: WaveParams, x: float, t: float) -> complex:
-    """Analytic d(psi)/dx at (x, t)."""
-    alpha = _inverse_width_sq(params, t)
-    denom = _spread_denominator(params, t)
-    sqrt_a = math.sqrt(alpha)
-    xi = sqrt_a * x
-    pair = hermite_pair(params.n, xi)
-    big_a = params.m * t / (2.0 * params.hbar * denom)
-    log_env = (
-        log_norm_constant(params)
-        - 0.25 * math.log1p((t / params.t_c) ** 2)
-        - 0.5 * alpha * x * x
-    )
-    carrier = math.exp(log_env) * cmath.exp(
-        1j * (big_a * x * x - (params.n + 0.5) * math.atan2(t, params.t_c)))
-    return carrier * (
-        (2j * big_a - alpha) * x * pair.h_n
-        + 2.0 * params.n * sqrt_a * pair.h_nm1
-    )
+    """Analytic d(psi)/dx at (x, t).
+
+    Uses phi_n'(xi) = sqrt(2n) phi_{n-1}(xi) - xi phi_n(xi).
+    """
+    scale = params.alpha(t)
+    root = math.sqrt(scale)
+    xi = root * x
+    phi, phi_prev = _kernels.hermite_function_pair(params.n, xi)
+    chirp, carrier = _carrier(params, x, t)
+    slope = root * (math.sqrt(2.0 * params.n) * phi_prev - xi * phi)
+    return scale ** 0.25 * (slope + 2j * chirp * x * phi) * carrier
 
 
 def psi_phase_flipped(params: WaveParams, x: float, t: float) -> complex:
@@ -198,24 +205,15 @@ def psi_phase_flipped(params: WaveParams, x: float, t: float) -> complex:
     the evolution equation by an O(1) margin, which is what the residual
     diagnostics are meant to catch.
     """
-    value = psi(params, x, t)
-    alpha = _inverse_width_sq(params, t)
-    denom = _spread_denominator(params, t)
-    big_a = params.m * t / (2.0 * params.hbar * denom)
-    return value * cmath.exp(-2j * big_a * x * x)
+    chirp, _ = _carrier(params, x, t)
+    return psi(params, x, t) * cmath.exp(-2j * chirp * x * x)
 
 
 def density(params: WaveParams, x: float, t: float) -> float:
     """|psi|**2 with the phases cancelled analytically (no complex arithmetic)."""
-    alpha = _inverse_width_sq(params, t)
-    xi = math.sqrt(alpha) * x
-    h = hermite_pair(params.n, xi).h_n
-    log_env = (
-        2.0 * log_norm_constant(params)
-        - 0.5 * math.log1p((t / params.t_c) ** 2)
-        - alpha * x * x
-    )
-    return h * h * math.exp(log_env)
+    root = math.sqrt(params.alpha(t))
+    phi, _ = _kernels.hermite_function_pair(params.n, root * x)
+    return root * phi * phi
 
 
 def density_grid(params: WaveParams, grid: GridSpec, t: float) -> RealField:
@@ -234,8 +232,8 @@ def sample_field(params: WaveParams, grid: GridSpec, t: float) -> ComplexField:
 
 def _support_halfwidth(params: WaveParams, t: float) -> float:
     """|x| beyond which the density is negligible at double precision."""
-    alpha = _inverse_width_sq(params, t)
-    return (math.sqrt(2.0 * params.n + 1.0) + 10.0) / math.sqrt(alpha)
+    turning_xi = math.sqrt(2.0 * params.n + 1.0)
+    return (turning_xi + 10.0) / math.sqrt(params.alpha(t))
 
 
 def total_probability(params: WaveParams, t: float, tol: float = 1e-10) -> float:

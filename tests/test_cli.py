@@ -13,7 +13,7 @@ from hermitewave.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                              main)
 from hermitewave.semiclassics import (caustic, evolve_path, find_peaks,
                                       initial_conditions)
-from hermitewave.wavefunction import WaveParams
+from hermitewave.wavefunction import MAX_ORDER, WaveParams
 
 
 def read_csv(path):
@@ -24,9 +24,10 @@ def read_csv(path):
 
 def test_runconfig_round_trip():
     cfg = RunConfig(command="density", times=(0.0, 1.0, 2.0), out="x.csv")
-    wire = json.dumps(cfg.to_dict(), sort_keys=True)
-    back = RunConfig.from_dict(json.loads(wire))
-    assert back == cfg
+    wire = json.loads(json.dumps(cfg.to_dict(), sort_keys=True))
+    assert wire["times"] == [0.0, 1.0, 2.0]
+    # to_dict keeps every field: the JSON form rebuilds the same config
+    assert RunConfig(**{**wire, "times": tuple(wire["times"])}) == cfg
 
 
 def test_density_deterministic(tmp_path):
@@ -225,6 +226,39 @@ def test_verify_small_box_refusal_diagnostic(tmp_path):
     oracle = [c for c in rep["checks"] if c["name"] == "spectral_oracle"][0]
     assert oracle["passed"] is False
     assert "box" in oracle["diagnostic"]
+
+
+def test_verify_nyquist_refusal_diagnostic(tmp_path):
+    out = tmp_path / "v.json"
+    rc = main(["verify", "--nx", "64", "--out", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    rep = json.loads(out.read_text())
+    oracle = [c for c in rep["checks"] if c["name"] == "spectral_oracle"][0]
+    assert oracle["measured"] is None and oracle["passed"] is False
+    assert "Nyquist" in oracle["diagnostic"]
+    others = [c["passed"] for c in rep["checks"] if c is not oracle]
+    assert all(others)
+
+
+def test_verify_past_factorial_overflow(tmp_path):
+    # n = 200 once overflowed math.factorial (exit 1 with a traceback) and
+    # the scalar closed forms (quadrature stalled at nan, exit 3)
+    out = tmp_path / "v.json"
+    rc = main(["verify", "--n", "200", "--out", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["normalization"]["passed"] is True
+    assert checks["t0_identity"]["passed"] is True
+    # the default 80-wide box is too small for this packet
+    assert "box ends at" in checks["spectral_oracle"]["diagnostic"]
+
+
+@pytest.mark.parametrize("kind", ["density", "peaks", "observables", "verify"])
+def test_order_above_limit_exits_two(tmp_path, kind):
+    out = tmp_path / "x"
+    rc = main([kind, "--n", str(MAX_ORDER + 1), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_config_errors(tmp_path):

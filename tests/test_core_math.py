@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hermitewave.core_math import (_gk_panel, find_root, hermite_pair,
-                                   integrate, log_norm_constant)
+from hermitewave.core_math import _gk_panel, find_root, hermite_pair, integrate
 from hermitewave.errors import BracketingError, ConvergenceError, DomainError
-from hermitewave.wavefunction import WaveParams
 
 
 def test_hermite_pair_small_orders():
@@ -37,35 +35,6 @@ def test_hermite_pair_rejects_bad_input():
         hermite_pair(2, float("inf"))
     with pytest.raises(DomainError):
         hermite_pair(2, float("nan"))
-
-
-def test_log_norm_constant_frozen_values():
-    # defaults: t_c=1, hbar=1, m=0.5
-    assert log_norm_constant(WaveParams(n=0)) == pytest.approx(
-        -0.45946926660233633, abs=1e-14)
-    assert log_norm_constant(WaveParams(n=2)) == pytest.approx(
-        -1.4991900374422542, abs=1e-14)
-
-
-def test_log_norm_constant_matches_direct_formula():
-    for n in range(8):
-        p = WaveParams(n=n, t_c=1.7, hbar=1.0, m=0.5)
-        direct = math.log(
-            math.sqrt(1.0 / math.factorial(n))
-            * (p.m / (p.hbar * p.t_c * math.pi)) ** 0.25
-            * 2.0 ** (-0.5 * n))
-        assert log_norm_constant(p) == pytest.approx(direct, abs=1e-12)
-
-
-def test_log_norm_constant_rejects_bad_params():
-    class Bag:
-        def __init__(self, **kw):
-            self.__dict__.update(kw)
-
-    with pytest.raises(DomainError):
-        log_norm_constant(Bag(n=0, t_c=0.0, m=0.5, hbar=1.0))
-    with pytest.raises(DomainError):
-        log_norm_constant(Bag(n=-1, t_c=1.0, m=0.5, hbar=1.0))
 
 
 def test_gk_panel_weights_and_exactness():

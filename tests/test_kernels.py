@@ -4,36 +4,25 @@ import numpy as np
 import pytest
 
 from hermitewave import _kernels
-from hermitewave.errors import DomainError
 from hermitewave.wavefunction import WaveParams, density, psi
 
 
-def test_backend_selection(monkeypatch):
-    monkeypatch.delenv("HERMITEWAVE_BACKEND", raising=False)
-    assert _kernels.backend() in ("numpy", "numba")
-    monkeypatch.setenv("HERMITEWAVE_BACKEND", "numpy")
+def test_backend_selection():
     assert _kernels.backend() == "numpy"
-    monkeypatch.setenv("HERMITEWAVE_BACKEND", "nope")
-    with pytest.raises(DomainError):
-        _kernels.backend()
 
 
-def test_backend_numba_unavailable(monkeypatch):
-    monkeypatch.setenv("HERMITEWAVE_BACKEND", "numba")
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-    with pytest.raises(DomainError):
-        _kernels.backend()
+def _as_input(xi, kind):
+    """The same points as one float64 array or as a list of floats."""
+    return [xi] if kind == "numpy" else [float(v) for v in xi]
 
 
-@pytest.mark.parametrize("be", ["numpy", "numba"])
-def test_hermite_function_profile(be, monkeypatch):
-    if be == "numba" and not _kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    monkeypatch.setenv("HERMITEWAVE_BACKEND", be)
+@pytest.mark.parametrize("kind", ["numpy", "scalar"])
+def test_hermite_function_profile(kind):
     rng = np.random.default_rng(31337)
     xi = rng.uniform(-6, 6, size=400)
     for n in (0, 1, 2, 5, 17, 30):
-        got = _kernels.hermite_function_profile(n, xi)
+        got = np.hstack([_kernels.hermite_function_pair(n, v)[0]
+                         for v in _as_input(xi, kind)])
         # reference: raw polynomial times log-domain normalization
         log_c = -0.5 * (math.lgamma(n + 1) + n * math.log(2.0)
                         + 0.5 * math.log(math.pi))
@@ -43,23 +32,27 @@ def test_hermite_function_profile(be, monkeypatch):
         assert np.abs(got - ref).max() < 1e-10
 
 
-@pytest.mark.parametrize("be", ["numpy", "numba"])
-def test_hermite_function_high_order_stays_finite(be, monkeypatch):
-    if be == "numba" and not _kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    monkeypatch.setenv("HERMITEWAVE_BACKEND", be)
+@pytest.mark.parametrize("kind", ["numpy", "scalar"])
+def test_hermite_function_high_order_stays_finite(kind):
     xi = np.linspace(-40, 40, 2001)
-    vals = _kernels.hermite_function_profile(500, xi)
+    vals = np.hstack([_kernels.hermite_function_pair(500, v)[0]
+                      for v in _as_input(xi, kind)])
     assert np.all(np.isfinite(vals))
     # normalized functions are uniformly bounded by the ground state peak
     assert np.abs(vals).max() <= math.pi ** -0.25 + 1e-9
 
 
-@pytest.mark.parametrize("be", ["numpy", "numba"])
-def test_profiles_match_scalar_routes(be, monkeypatch):
-    if be == "numba" and not _kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    monkeypatch.setenv("HERMITEWAVE_BACKEND", be)
+def test_scalar_and_array_recurrence_agree():
+    xi = np.linspace(-30.0, 30.0, 601)
+    for n in (0, 1, 7, 120, 650):
+        arr = np.array(_kernels.hermite_function_pair(n, xi))
+        # only the seed differs: math.exp for a float, np.exp for an array
+        scalar = np.array([_kernels.hermite_function_pair(n, v)
+                           for v in xi.tolist()]).T
+        assert np.abs(scalar - arr).max() < 1e-14
+
+
+def test_profiles_match_scalar_routes():
     rng = np.random.default_rng(2718)
     xs = np.linspace(-7, 7, 301)
     for _ in range(6):
@@ -75,17 +68,14 @@ def test_profiles_match_scalar_routes(be, monkeypatch):
         assert np.abs(dens - refd).max() < 1e-13
 
 
-def test_backends_agree(monkeypatch):
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    xs = np.linspace(-8, 8, 513)
-    results = {}
-    for be in ("numpy", "numba"):
-        monkeypatch.setenv("HERMITEWAVE_BACKEND", be)
-        results[be] = (_kernels.psi_profile(xs, 4, 1.5, 1.0, 0.5, 1.0),
-                       _kernels.density_profile(xs, 4, 1.5, 1.0, 0.5, 1.0))
-    assert np.abs(results["numpy"][0] - results["numba"][0]).max() < 1e-14
-    assert np.abs(results["numpy"][1] - results["numba"][1]).max() < 1e-14
+def test_alpha_squares_by_multiplication():
+    # t**2 rounds differently from t*t for this t; every route squares as
+    # the array kernels always have, through the one helper
+    t = 1.3975151634782197
+    assert t ** 2 != t * t
+    expect = 0.5 * 1.0 / (1.0 * (1.0 * 1.0 + t * t))
+    assert _kernels.alpha(t, 1.0, 0.5, 1.0) == expect
+    assert WaveParams(n=3).alpha(t) == expect
 
 
 def test_coefficient_cache_reuse():

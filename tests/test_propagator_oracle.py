@@ -125,6 +125,18 @@ def test_refusal_when_box_too_small():
     spectral_propagate(analytic_field(p, grid80(), 0.0), 2.0, p.m, p.hbar)
 
 
+def test_refusal_when_grid_too_coarse():
+    p = WaveParams(n=2)
+    coarse = SpectralGrid(length=80.0, nx=64)  # pi / dx = 2.5 < 6 sigma_k
+    init = analytic_field(p, coarse, 0.0)
+    with pytest.raises(GridTooSmallError, match="Nyquist"):
+        spectral_propagate(init, 2.0, p.m, p.hbar)
+    # a box that is too small and too coarse is reported as a box problem
+    tiny = analytic_field(p, SpectralGrid(length=10.0, nx=4), 0.0)
+    with pytest.raises(GridTooSmallError, match="box ends at"):
+        spectral_propagate(tiny, 2.0, p.m, p.hbar)
+
+
 def test_propagate_rejects_bad_constants():
     f = analytic_field(WaveParams(n=0), grid80(), 0.0)
     with pytest.raises(DomainError):

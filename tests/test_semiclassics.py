@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from hermitewave.errors import DomainError
-from hermitewave.semiclassics import (CausticPair, caustic, caustic_branches,
-                                      enclosed_area, evolve_path,
-                                      expected_area, find_peaks,
+from hermitewave.semiclassics import (CausticPair, caustic, enclosed_area,
+                                      evolve_path, expected_area, find_peaks,
                                       initial_conditions, path_family,
-                                      peak_condition_residual,
                                       peak_hyperbola_n2, phase_space_snapshot)
 from hermitewave.wavefunction import WaveParams, energy
 
@@ -94,27 +92,6 @@ def test_caustic_values():
     # t=0: classical turning point sqrt(2E/m) t_c / t_c... = sqrt(2E) t_c
     assert caustic(p, 0.0).x_plus == pytest.approx(math.sqrt(5), abs=1e-14)
     assert caustic(p, -3.0).x_plus == caustic(p, 3.0).x_plus
-
-
-def test_caustic_branches_sampling():
-    p = WaveParams(n=2)
-    ts = [-1.0, 0.0, 1.0]
-    upper, lower = caustic_branches(p, ts)
-    assert upper.sign == 1 and lower.sign == -1
-    assert upper.samples.shape == (3, 2)
-    assert upper.samples[1, 1] == pytest.approx(math.sqrt(5), abs=1e-14)
-    assert np.allclose(upper.samples[:, 1], -lower.samples[:, 1])
-
-
-def test_peak_condition_residual_zeroes():
-    p = WaveParams(n=2)
-    alpha = 0.5  # m t_c / hbar / (t_c^2 + 0) for defaults at t=0
-    for xi in (0.0, math.sqrt(2.5), -math.sqrt(2.5)):
-        x = xi / math.sqrt(alpha)
-        assert peak_condition_residual(p, x, 0.0) == pytest.approx(
-            0.0, abs=1e-12)
-    # off-peak point is clearly nonzero
-    assert abs(peak_condition_residual(p, 1.0, 0.0)) > 0.1
 
 
 def test_find_peaks_small_orders():
