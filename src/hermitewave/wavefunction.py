@@ -151,11 +151,13 @@ def psi(params: WaveParams, x: float, t: float) -> complex:
     return scale ** 0.25 * phi * _carrier(params, x, t)[1]
 
 
-def _carrier(params: WaveParams, x: float, t: float):
-    """(chirp, exp(i (chirp x**2 - gouy))): the phase factor of psi."""
+def _carrier(params: WaveParams, x, t: float):
+    """(chirp, exp(i (chirp x**2 - gouy))): the phase factor of psi, for a
+    float or a float64 array ``x``."""
     chirp, gouy = _kernels.phase_terms(params.n, t, params.t_c, params.m,
                                        params.hbar)
-    return chirp, cmath.exp(1j * (chirp * x * x - gouy))
+    exp = np.exp if isinstance(x, np.ndarray) else cmath.exp
+    return chirp, exp(1j * (chirp * x * x - gouy))
 
 
 def psi_initial(params: WaveParams, x: float) -> complex:
@@ -184,8 +186,8 @@ def psi_initial(params: WaveParams, x: float) -> complex:
     return complex(hn * math.exp(log_norm - 0.5 * y * y + exponent * _LN2))
 
 
-def psi_dx(params: WaveParams, x: float, t: float) -> complex:
-    """Analytic d(psi)/dx at (x, t).
+def psi_dx(params: WaveParams, x, t: float):
+    """Analytic d(psi)/dx at time t, for a float or a float64 array ``x``.
 
     Uses phi_n'(xi) = sqrt(2n) phi_{n-1}(xi) - xi phi_n(xi).
     """

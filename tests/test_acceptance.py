@@ -24,8 +24,7 @@ def _line(num, detail):
     print(f"criterion {num:02d}: {detail}")
 
 
-# shared numeric moment rows for criteria 9, 10, 12 (quadrature is the slow
-# part, compute each row once)
+# shared numeric moment rows for criteria 9, 10, 12 (computed once each)
 _MOMENT_CACHE = {}
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from hermitewave import _kernels
-from hermitewave.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                             RunConfig, _branch_labels, _cells, _write_table,
-                             main)
+from hermitewave.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
+                             EXIT_NO_CONVERGENCE, EXIT_OK, RunConfig,
+                             _branch_labels, _cells, _write_table, main)
 from hermitewave.semiclassics import (caustic, evolve_path, find_peaks,
                                       initial_conditions)
 from hermitewave.wavefunction import MAX_ORDER, WaveParams
@@ -195,6 +195,35 @@ def test_observables_impossible_tolerance(tmp_path):
     assert main(["observables", "--tol", "1e-30",
                  "--out", str(out)]) == EXIT_CHECK_FAILED
     rep = json.loads(out.read_text())
+    assert rep["all_within_tolerance"] is False
+
+
+@pytest.mark.parametrize("extra", [
+    ["--n", "650"], ["--tc", "1e-8"], ["--tc", "1e8"], ["--tmax", "1e4"],
+    ["--hbar", "1e-150"], ["--hbar", "1e150"]])
+def test_observables_scaled_units(tmp_path, extra):
+    out = tmp_path / "obs.json"
+    assert main(["observables", *extra, "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["worst_numeric_gap"] < 1e-12
+
+
+def test_observables_overflowing_moments_diagnostic(tmp_path, capsys):
+    # x**2 overflows on the support of a packet this late
+    out = tmp_path / "obs.json"
+    rc = main(["observables", "--tmax", "1e154", "--out", str(out)])
+    assert rc == EXIT_NO_CONVERGENCE
+    assert "moment sums are not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_observables_underflowing_closed_form_fails_check(tmp_path):
+    # hbar m / t_c = 1e-330 underflows the closed-form <p**2> to 0
+    out = tmp_path / "obs.json"
+    assert main(["observables", "--hbar", "1e-150", "--mass", "1e-150",
+                 "--tc", "1e30", "--out", str(out)]) == EXIT_CHECK_FAILED
+    rep = json.loads(out.read_text())
+    assert not rep["worst_numeric_gap"] <= 1e-8
     assert rep["all_within_tolerance"] is False
 
 

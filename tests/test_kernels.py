@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hermitewave import _kernels
-from hermitewave.wavefunction import WaveParams, density, psi
+from hermitewave.wavefunction import WaveParams, density, psi, psi_dx
 
 
 def test_backend_selection():
@@ -64,8 +64,10 @@ def test_profiles_match_scalar_routes():
         dens = _kernels.density_profile(xs, n, t, t_c, p.m, p.hbar)
         ref = np.array([psi(p, float(x), t) for x in xs])
         refd = np.array([density(p, float(x), t) for x in xs])
+        refdx = np.array([psi_dx(p, float(x), t) for x in xs])
         assert np.abs(prof - ref).max() < 1e-12
         assert np.abs(dens - refd).max() < 1e-13
+        assert np.abs(psi_dx(p, xs, t) - refdx).max() < 1e-12
 
 
 def test_alpha_squares_by_multiplication():

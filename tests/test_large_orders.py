@@ -90,6 +90,24 @@ def test_initial_profile_identity_past_factorial_overflow(n):
     assert gap < 1e-12
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, MAX_ORDER), log_t_c=st.floats(-6.0, 6.0),
+       log_hbar=st.floats(-6.0, 6.0), log_m=st.floats(-6.0, 6.0),
+       ratio=st.floats(-1e6, 1e6))
+def test_numeric_moments_match_closed_forms(n, log_t_c, log_hbar, log_m,
+                                            ratio):
+    params = WaveParams(n=n, t_c=10.0 ** log_t_c, hbar=10.0 ** log_hbar,
+                        m=10.0 ** log_m)
+    t = ratio * params.t_c
+    num = numeric_moments(params, t)
+    ref = closed_form_moments(params, t)
+    # odd moments relative to their spreads, even moments to themselves
+    assert abs(num.mean_x) <= 1e-12 * math.sqrt(ref.mean_x2)
+    assert abs(num.mean_p) <= 1e-12 * math.sqrt(ref.mean_p2)
+    assert abs(num.mean_x2 - ref.mean_x2) <= 1e-12 * ref.mean_x2
+    assert abs(num.mean_p2 - ref.mean_p2) <= 1e-12 * ref.mean_p2
+
+
 def test_numeric_moments_at_order_120():
     params = WaveParams(n=120)
     for t in (0.0, 1.5):

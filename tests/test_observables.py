@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hermitewave.errors import DomainError
+from hermitewave import observables
+from hermitewave.errors import ConvergenceError, DomainError
 from hermitewave.observables import (AiryParams, MomentRow, airy_closed_forms,
                                      closed_form_moments, numeric_moments,
                                      spreading_check, table_report)
@@ -42,6 +43,14 @@ def test_numeric_matches_closed():
             assert abs(num.mean_p) < 1e-10
             assert num.mean_x2 == pytest.approx(ref.mean_x2, abs=1e-9)
             assert num.mean_p2 == pytest.approx(ref.mean_p2, abs=1e-9)
+
+
+def test_numeric_moments_tol_bounds_the_norm_defect():
+    # the sampled norm of the ground state at t = 0 is 1 - 2.2e-16
+    with pytest.raises(ConvergenceError, match="sampled norm"):
+        numeric_moments(WaveParams(n=0), 0.0, tol=1e-16)
+    with pytest.raises(ConvergenceError, match="sampled norm"):
+        numeric_moments(WaveParams(n=2), 1.0, tol=float("nan"))
 
 
 def test_spreading_check_closed_is_identity():
@@ -150,6 +159,18 @@ def test_table_report_impossible_tolerance_flags():
     rep = table_report([WaveParams(n=0)], None, (0.0,), tol=1e-30)
     assert rep["all_within_tolerance"] is False
     assert "airy" not in rep
+
+
+def test_table_report_keeps_a_nan_gap(monkeypatch):
+    def nan_moments(params, t):
+        row = closed_form_moments(params, t)
+        return MomentRow(**{**row.__dict__, "mean_x": float("nan")})
+
+    monkeypatch.setattr(observables, "numeric_moments", nan_moments)
+    rep = table_report([WaveParams(n=0), WaveParams(n=1)], None, (0.0, 1.0),
+                       tol=1e-8)
+    assert math.isnan(rep["worst_numeric_gap"])
+    assert rep["all_within_tolerance"] is False
 
 
 def test_table_report_closed_only():
