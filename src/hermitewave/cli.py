@@ -4,14 +4,18 @@ Every computation in the package is reachable as a subcommand that writes a
 figure-ready CSV or JSON artifact. Output is deterministic: identical
 configuration yields byte-identical files, with floats in their shortest
 round-trip form (``repr``), UTF-8 and LF endings. The grid commands stream
-their rows through one writer, ``_write_table``, one time slice or launch
-angle at a time. Its CSV is what ``csv.writer(lineterminator="\\n")`` writes
-and its JSON is exactly ``json.dump(..., indent=2, sort_keys=True)`` of
-``{"header": ..., "rows": ...}`` plus a final newline.
+their rows through one writer, ``_write_table``, one time slice, launch
+angle or run of caustic times at a time. Its CSV is what
+``csv.writer(lineterminator="\\n")`` writes and its JSON is exactly
+``json.dump(..., indent=2, sort_keys=True)`` of ``{"header": ..., "rows":
+...}`` plus a final newline. A float column that reads the same backwards,
+bit for bit (every density slice on an x window symmetric about 0, since
+|psi|^2 is even in x), has only its first half formatted.
 
 Subcommands: density, peaks, caustic, paths, phasespace, observables,
-verify. The env var HERMITEWAVE_THREADS caps the worker pool used for grid
-evaluation.
+verify. The env var HERMITEWAVE_THREADS caps the worker pool that computes
+density slices; it computes later slices while earlier ones are written,
+and the bytes do not depend on it.
 
 Exit codes: 0 success, 1 a check failed, 2 bad configuration (including an
 order above ``MAX_ORDER`` = 650), 3 numerical non-convergence, 4 I/O
@@ -111,12 +115,25 @@ _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _cells(values, fmt: str) -> list:
-    """Each number as csv.writer (its ``repr``) or json.dump spells it."""
+    """Each number as csv.writer (its ``repr``) or json.dump spells it.
+
+    A float64 array whose bit patterns read the same backwards has only its
+    first ceil(N/2) values formatted; the rest are those cells mirrored.
+    Bits, not ``==``, decide: -0.0 facing 0.0 is not mirrored, a NaN facing
+    the same NaN is. Lists and other dtypes are formatted value by value.
+    """
+    size = len(values)
+    mirrored = False
     if isinstance(values, np.ndarray):
-        values = values.tolist()
+        if values.dtype == np.float64:
+            bits = values.view(np.uint64)
+            mirrored = np.array_equal(bits, bits[::-1])
+        values = values[:(size + 1) // 2 if mirrored else size].tolist()
     cells = list(map(repr, values))
     if fmt == "json" and not _JSON_SPELLING.keys().isdisjoint(cells):
         cells = [_JSON_SPELLING.get(c, c) for c in cells]
+    if mirrored:
+        cells += cells[:size // 2][::-1]
     return cells
 
 
@@ -124,8 +141,9 @@ def _write_table(config: RunConfig, header, blocks) -> int:
     """Stream a table to ``config.output_path()``, one block at a time, and
     print the path written.
 
-    A block is a tuple of equal-length columns of cells from ``_cells``, so
-    a value repeated down a column is formatted once. Bytes: shortest-repr
+    A block is a tuple of equal-length columns of cells from ``_cells``
+    (one time slice, one launch angle or one run of caustic times), so a
+    value repeated down a column is formatted once. Bytes: shortest-repr
     floats and LF endings; CSV as ``csv.writer(lineterminator="\\n")`` writes
     it; JSON exactly as ``json.dump(..., indent=2, sort_keys=True)`` plus
     ``"\\n"``, down to ``NaN``/``Infinity`` and an empty ``"rows": []``.
@@ -177,13 +195,13 @@ def cmd_density(config: RunConfig) -> int:
         return _kernels.density_profile(xs, params.n, t, params.t_c,
                                         params.m, params.hbar)
 
+    # The pool computes later slices while this thread formats earlier ones.
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        profiles = list(pool.map(one_row, config.times))
-
-    x_cells = _cells(xs, fmt)
-    blocks = ((x_cells, _cells([t], fmt) * xs.size, _cells(profile, fmt))
-              for t, profile in zip(config.times, profiles))
-    return _write_table(config, ("x", "t", "density"), blocks)
+        x_cells = _cells(xs, fmt)
+        blocks = ((x_cells, _cells([t], fmt) * xs.size, _cells(profile, fmt))
+                  for t, profile in zip(config.times,
+                                        pool.map(one_row, config.times)))
+        return _write_table(config, ("x", "t", "density"), blocks)
 
 
 def cmd_peaks(config: RunConfig) -> int:
@@ -199,13 +217,20 @@ def cmd_peaks(config: RunConfig) -> int:
     return _write_table(config, ("t", "x_peak", "branch"), blocks())
 
 
+# Rows per caustic block: few enough calls to ``_cells``, while a block's
+# cells stay a small part of the process's memory.
+_CAUSTIC_RUN = 1024
+
+
 def cmd_caustic(config: RunConfig) -> int:
     params = config.wave_params()
+    fmt = config.fmt
 
     def blocks():
-        for t in config.times:
-            row = _cells((t, *caustic(params, t)), config.fmt)
-            yield tuple(zip(row))  # one slice: columns of one cell each
+        for lo in range(0, len(config.times), _CAUSTIC_RUN):
+            ts = config.times[lo:lo + _CAUSTIC_RUN]
+            x_plus, x_minus = zip(*(caustic(params, t) for t in ts))
+            yield _cells(ts, fmt), _cells(x_plus, fmt), _cells(x_minus, fmt)
 
     return _write_table(config, ("t", "x_plus", "x_minus"), blocks())
 

@@ -88,16 +88,18 @@ def test_density_order_zero_single_ridge(tmp_path):
 
 
 def test_density_threads_env_equivalence(tmp_path, monkeypatch):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["density", "--nx", "65", "--nt", "9"]
-    monkeypatch.setenv("HERMITEWAVE_THREADS", "1")
-    assert main(args + ["--out", str(a)]) == EXIT_OK
-    monkeypatch.setenv("HERMITEWAVE_THREADS", "4")
-    assert main(args + ["--out", str(b)]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
+    # more slices than workers, so the pool computes while the writer writes
+    for fmt in ("csv", "json"):
+        args = ["density", "--nx", "65", "--nt", "23", "--format", fmt]
+        written = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"{threads}.{fmt}"
+            monkeypatch.setenv("HERMITEWAVE_THREADS", threads)
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[1:] == written[:1] * 2
     monkeypatch.setenv("HERMITEWAVE_THREADS", "zero")
-    assert main(args + ["--out", str(a)]) == EXIT_CONFIG
+    assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
 def test_density_json_format(tmp_path):
@@ -381,6 +383,74 @@ def test_grid_artifact_bytes_match_stdlib(tmp_path, kind, fmt):
     rows = reference_rows(kind)
     assert rows
     assert out.read_bytes() == stdlib_bytes(fmt, _HEADERS[kind], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("x_min,x_max,nx,mirrored", [
+    (-6.0, 6.0, 7, True), (-6.0, 6.0, 8, False), (-7.0, 7.0, 8, True)])
+def test_symmetric_density_bytes_match_stdlib(tmp_path, fmt, x_min, x_max,
+                                              nx, mirrored):
+    # linspace(-6, 6, 8) is not exactly symmetric, so its slices are not
+    # palindromic and take the plain route; the other two windows mirror
+    out = tmp_path / f"d.{fmt}"
+    assert main(["density", "--n", "3", "--tc", "1.1", "--hbar", "0.9",
+                 "--mass", "0.45", "--tmin", "-1.3", "--tmax", "1.3", "--nt",
+                 "5", "--xmin", repr(x_min), "--xmax", repr(x_max), "--nx",
+                 str(nx), "--format", fmt, "--out", str(out)]) == EXIT_OK
+    p = WaveParams(n=3, t_c=1.1, hbar=0.9, m=0.45)
+    xs = np.linspace(x_min, x_max, nx)
+    rows = []
+    for t in np.linspace(-1.3, 1.3, 5).tolist():
+        dens = _kernels.density_profile(xs, p.n, t, p.t_c, p.m, p.hbar)
+        bits = dens.view(np.uint64)
+        assert np.array_equal(bits, bits[::-1]) == mirrored
+        rows += [(x, t, d) for x, d in zip(xs.tolist(), dens.tolist())]
+    assert out.read_bytes() == stdlib_bytes(fmt, _HEADERS["density"], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_caustic_bytes_match_stdlib_across_blocks(tmp_path, fmt):
+    out = tmp_path / f"c.{fmt}"
+    assert main(["caustic", "--n", "5", "--tmin", "-3", "--tmax", "1.7",
+                 "--nt", "2500", "--format", fmt, "--out", str(out)]) == EXIT_OK
+    p = WaveParams(n=5)
+    rows = [(t, *caustic(p, t)) for t in np.linspace(-3.0, 1.7, 2500).tolist()]
+    assert out.read_bytes() == stdlib_bytes(fmt, _HEADERS["caustic"], rows)
+
+
+def _spelled(values, fmt):
+    """Cells as repr (csv.writer) or json.dumps spells each Python value."""
+    return list(map(repr if fmt == "csv" else json.dumps, values.tolist()))
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.float64),
+    np.array([0.1]),
+    np.array([0.1, 0.1]),
+    np.array([0.1, 2.5e-300, 0.1]),
+    np.array([1 / 3, 7.0, 7.0, 1 / 3]),
+    np.array([-0.0, 1.0, 0.0]),
+    np.array([0.0, 1.0, -0.0]),
+    np.array([_NAN, _INF, -_INF, 1.5, -_INF, _INF, _NAN]),
+    np.array([_NAN, -_INF, -_INF, _NAN]),
+    np.array([0.1, 0.2, 0.3]),
+    np.array([0.1, 0.2, 0.3, 0.2, 0.1, 0.4])[4::-1],
+    np.array([3, -1, 3], dtype=np.int64),
+    np.array([0.1, 0.2, 0.1], dtype=np.float32),
+], ids=["empty", "one", "two", "three", "four", "neg-zero-left",
+        "neg-zero-right", "non-finite-odd", "non-finite-even",
+        "not-palindromic", "strided-view", "int64", "float32"])
+def test_cells_mirror_matches_plain_formatting(values, fmt):
+    assert _cells(values, fmt) == _spelled(values, fmt)
+
+
+def test_cells_single_value_is_not_duplicated():
+    assert _cells(np.array([2.0]), "csv") == ["2.0"]
+    assert _cells(np.array([_NAN]), "json") == ["NaN"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

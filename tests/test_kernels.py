@@ -70,6 +70,25 @@ def test_profiles_match_scalar_routes():
         assert np.abs(psi_dx(p, xs, t) - refdx).max() < 1e-12
 
 
+@pytest.mark.parametrize("nx", [257, 256])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 120, 650])
+def test_density_is_bitwise_even_on_a_symmetric_grid(n, nx):
+    # H_n(-xi) = (-1)^n H_n(xi) and every step of the recurrence is exact
+    # under a sign flip, so |psi|^2 reads the same backwards, bit for bit;
+    # the artifact writer formats only half of such a slice
+    t_c, m, hbar = 1.7, 0.3, 1.9
+    for t in (-2.3, 0.0, 0.8):
+        alpha = _kernels.alpha(t, t_c, m, hbar)
+        half = 1.25 * math.sqrt((2 * n + 1) / alpha) + 2.0
+        xs = np.linspace(-half, half, nx)
+        xs = 0.5 * (xs - xs[::-1])  # exactly antisymmetric
+        assert np.array_equal(xs, -xs[::-1])
+        dens = _kernels.density_profile(xs, n, t, t_c, m, hbar)
+        assert dens.max() > 0.0
+        bits = dens.view(np.uint64)
+        assert np.array_equal(bits, bits[::-1])
+
+
 def test_alpha_squares_by_multiplication():
     # t**2 rounds differently from t*t for this t; every route squares as
     # the array kernels always have, through the one helper
