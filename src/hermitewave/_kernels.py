@@ -69,7 +69,9 @@ def density_profile(xs, n, t, t_c, m, hbar) -> np.ndarray:
     """Probability density sampled over xs at one time."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     root = math.sqrt(alpha(t, t_c, m, hbar))
-    f, _ = hermite_function_pair(n, root * xs)
+    with np.errstate(over="ignore"):  # phi_n is 0 far before the clamp
+        xi = np.clip(root * xs, -1e150, 1e150)  # so xi * xi stays finite
+    f, _ = hermite_function_pair(n, xi)
     return root * f * f
 
 

@@ -12,16 +12,17 @@ angle or run of caustic times at a time. Its CSV is what
 bit for bit (every density slice on an x window symmetric about 0, since
 |psi|^2 is even in x), has only its first half formatted.
 
-Subcommands: density, peaks, caustic, paths, phasespace, observables,
-verify. The env var HERMITEWAVE_THREADS caps the worker pool that computes
-density slices; it computes later slices while earlier ones are written,
-and the bytes do not depend on it.
+Each subcommand takes ``--n --tc --hbar --mass --tmin --tmax --nt --out
+--format``; ``density`` and ``verify`` also take ``--xmin --xmax --nx``,
+``paths`` and ``phasespace`` ``--thetas``, and ``observables`` ``--tol``
+(``_COMMANDS``). Any other flag exits 2. ``observables`` and ``verify``
+write JSON only. Defaults are ``RunConfig``'s unless the table sets its own.
 
 Exit codes: 0 success, 1 a check failed, 2 bad configuration (including an
-order above ``MAX_ORDER`` = 650), 3 numerical non-convergence, 4 I/O
-failure. ``verify``'s spectral oracle refuses, with a diagnostic, a box the
-packet outgrows and a grid too coarse for its momentum content (past the
-Nyquist wavenumber pi / dx).
+order above ``MAX_ORDER`` = 650), 3 numerical failure (non-convergence or a
+value outside double range), 4 I/O failure. ``verify``'s spectral oracle
+refuses, with a diagnostic, a box the packet outgrows and a grid too coarse
+for its momentum content (past the Nyquist wavenumber pi / dx).
 """
 
 import argparse
@@ -30,8 +31,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .observables import AiryParams, table_report
 from .propagator_oracle import (SpectralGrid, analytic_field, compare_fields,
                                 spectral_propagate)
 from .semiclassics import (PhasePoint, caustic, evolve_path, find_peaks,
-                           initial_conditions, peak_hyperbola_n2)
+                           initial_conditions, peak_hyperbola_n2, shell_axes)
 from .wavefunction import (GridSpec, WaveParams, psi, psi_initial,
                            psi_phase_flipped, residual_convergence,
                            total_probability)
@@ -54,8 +55,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
-
-_REPORT_COMMANDS = ("observables", "verify")
 
 
 @dataclass(frozen=True)
@@ -92,23 +91,7 @@ class RunConfig:
                         t_min=self.t_min, t_max=self.t_max, nt=self.nt)
 
     def output_path(self) -> str:
-        if self.out:
-            return self.out
-        ext = "json" if self.fmt == "json" else "csv"
-        return f"{self.command}.{ext}"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HERMITEWAVE_THREADS", "").strip()
-    if raw:
-        try:
-            k = int(raw)
-        except ValueError:
-            raise DomainError(f"HERMITEWAVE_THREADS must be an integer, got {raw!r}")
-        if k < 1:
-            raise DomainError("HERMITEWAVE_THREADS must be >= 1")
-        return k
-    return min(os.cpu_count() or 1, 8)
+        return self.out or f"{self.command}.{self.fmt}"
 
 
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -196,7 +179,7 @@ def cmd_density(config: RunConfig) -> int:
                                         params.m, params.hbar)
 
     # The pool computes later slices while this thread formats earlier ones.
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 8)) as pool:
         x_cells = _cells(xs, fmt)
         blocks = ((x_cells, _cells([t], fmt) * xs.size, _cells(profile, fmt))
                   for t, profile in zip(config.times,
@@ -360,71 +343,71 @@ def cmd_verify(config: RunConfig, corrupt_phase: bool = False) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+class _Command(NamedTuple):
+    handler: Callable[..., int]
+    help: str
+    flags: Tuple[str, ...]  # read beyond _SHARED_FLAGS and --format
+    defaults: dict  # every default that is not RunConfig's own
+    formats: Tuple[str, ...] = ("csv", "json")
+
+
+_SHARED_FLAGS = ("n", "t_c", "hbar", "m", "t_min", "t_max", "nt", "out")
+_BOX = ("x_min", "x_max", "nx")
+_FORWARD = dict(t_min=0.0, t_max=2.0)  # a window of t >= 0 only
+
+_COMMANDS = {
+    "density": _Command(cmd_density, "density on an (x, t) grid", _BOX, {}),
+    "peaks": _Command(cmd_peaks, "density maxima per time slice", (),
+                      dict(nt=81)),
+    "caustic": _Command(cmd_caustic, "classical fold envelope branches",
+                        (), dict(nt=161)),
+    "paths": _Command(cmd_paths, "straight classical paths by launch angle",
+                      ("thetas",), dict(nt=81, thetas=16)),
+    "phasespace": _Command(cmd_phasespace, "sheared phase-space ellipses",
+                           ("thetas",), dict(_FORWARD, nt=5)),
+    "observables": _Command(cmd_observables, "moment table (JSON report)",
+                            ("tol",), dict(_FORWARD, nt=3), ("json",)),
+    "verify": _Command(cmd_verify, "self-check suite (JSON report)",
+                       _BOX + ("corrupt_phase",),
+                       dict(_FORWARD, nt=5, x_min=-40.0, x_max=40.0,
+                            nx=4096), ("json",)),
+}
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def _option(flag: str) -> str:
+    """--tc for the field t_c, --xmin for x_min, and --mass for m."""
+    return "--mass" if flag == "m" else "--" + flag.replace("_", "")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermitewave",
         description="Spreading Hermite wavepackets: densities, ridges, "
                     "caustics, classical paths, and moment tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    defaults = {
-        "density": dict(t_min=-4.0, t_max=4.0, nt=129),
-        "peaks": dict(t_min=-4.0, t_max=4.0, nt=81),
-        "caustic": dict(t_min=-4.0, t_max=4.0, nt=161),
-        "paths": dict(t_min=-4.0, t_max=4.0, nt=81, thetas=16),
-        "phasespace": dict(t_min=0.0, t_max=2.0, nt=5, thetas=256),
-        "observables": dict(t_min=0.0, t_max=2.0, nt=3, fmt="json"),
-        "verify": dict(t_min=0.0, t_max=2.0, nt=5, fmt="json",
-                       x_min=-40.0, x_max=40.0, nx=4096),
-    }
-    helps = {
-        "density": "density on an (x, t) grid as CSV",
-        "peaks": "density maxima per time slice",
-        "caustic": "classical fold envelope branches over time",
-        "paths": "straight-line classical paths indexed by launch angle",
-        "phasespace": "sheared phase-space ellipse at requested times",
-        "observables": "moment table with numeric cross-checks (JSON)",
-        "verify": "self-check suite (JSON report, exit reflects status)",
-    }
-    for name in ("density", "peaks", "caustic", "paths", "phasespace",
-                 "observables", "verify"):
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--tc", dest="t_c", type=float, default=1.0)
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--mass", dest="m", type=float, default=0.5)
-        p.add_argument("--xmin", dest="x_min", type=float, default=-8.0)
-        p.add_argument("--xmax", dest="x_max", type=float, default=8.0)
-        p.add_argument("--nx", type=int, default=257)
-        p.add_argument("--tmin", dest="t_min", type=float)
-        p.add_argument("--tmax", dest="t_max", type=float)
-        p.add_argument("--nt", type=int)
-        p.add_argument("--thetas", type=int, default=256)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
-        p.add_argument("--tol", type=float, default=1e-8)
-        if name == "verify":
-            p.add_argument("--corrupt-phase", action="store_true",
-                           help=argparse.SUPPRESS)
-        p.set_defaults(**defaults[name])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in _SHARED_FLAGS + command.flags:
+            field = _FIELDS.get(flag)
+            if field is None:  # a hidden switch for the handler
+                p.add_argument("--" + flag.replace("_", "-"),
+                               action="store_true", help=argparse.SUPPRESS)
+                continue
+            kind = field.type if field.type in (int, float) else str
+            p.add_argument(_option(flag), dest=flag, type=kind,
+                           default=field.default)
+        p.add_argument("--format", dest="fmt", choices=command.formats,
+                       default=command.formats[0])
+        p.set_defaults(**command.defaults)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.nt is None or args.t_min is None or args.t_max is None:
-        raise DomainError("tmin, tmax, nt must all be set")
-    times = GridSpec(x_min=args.x_min, x_max=args.x_max, nx=args.nx,
-                     t_min=args.t_min, t_max=args.t_max, nt=args.nt).ts()
-    config = RunConfig(
-        command=args.command, n=args.n, t_c=args.t_c, hbar=args.hbar,
-        m=args.m, x_min=args.x_min, x_max=args.x_max, nx=args.nx,
-        t_min=args.t_min, t_max=args.t_max, nt=args.nt,
-        thetas=args.thetas, times=tuple(times.tolist()), out=args.out,
-        fmt=args.fmt, tol=args.tol)
-    if config.command in _REPORT_COMMANDS and config.fmt != "json":
-        raise DomainError(f"{config.command} emits a JSON report; "
-                          f"--format csv is not available")
+    config = RunConfig(**{k: v for k, v in vars(args).items()
+                          if k in _FIELDS})
+    config = replace(config, times=tuple(config.grid().ts().tolist()))
     if not config.tol > 0.0:
         raise DomainError("tol must be positive")
     if config.thetas < 3:
@@ -438,6 +421,8 @@ def _config_from_args(args) -> RunConfig:
         if not 0.0 < scale < math.inf:
             raise DomainError(f"scale alpha(t) = m t_c / (hbar (t_c^2 + t^2)) "
                               f"is not a positive finite number at t = {t}")
+    if "thetas" in _COMMANDS[config.command].flags:
+        shell_axes(params)  # the ellipse the paths launch from
     return config
 
 
@@ -449,29 +434,18 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         config = _config_from_args(args)
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    handlers = {
-        "density": cmd_density,
-        "peaks": cmd_peaks,
-        "caustic": cmd_caustic,
-        "paths": cmd_paths,
-        "phasespace": cmd_phasespace,
-        "observables": cmd_observables,
-    }
-    try:
-        if config.command == "verify":
-            return cmd_verify(config, corrupt_phase=getattr(
-                args, "corrupt_phase", False))
-        return handlers[config.command](config)
+        switches = {k: v for k, v in vars(args).items() if k not in _FIELDS}
+        # a numpy value outside double range raises FloatingPointError, an
+        # ArithmeticError, instead of being written as inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[config.command].handler(config, **switches)
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, BracketingError, GridTooSmallError,
-            GridMismatchError) as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
+            GridMismatchError, ArithmeticError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

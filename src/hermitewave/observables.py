@@ -1,10 +1,13 @@
 """Moments, uncertainty products, and the spreading law.
 
-Every closed-form expression here has a numeric twin built from trapezoid
-sums on the sampled field, and the tests insist the two routes agree.
-The Airy-profile family is included for contrast: its position spread grows
-with the same (t_c + t**2/t_c) law even though the density ridges follow
-parabolas rather than hyperbolae.
+Every closed-form moment of the Hermite packet has a numeric twin built
+from trapezoid sums on the sampled field, and the tests insist the two
+routes agree. The damped-Airy rows are closed form only, with no numeric
+twin. They are included for contrast: the Airy position spread grows with
+the same (t_c + t**2/t_c) law. No code here follows the Airy lobe, and its
+path is not the undamped parabola a t**2/2: at v = a = 1, m = 1/2, hbar = 1
+an FFT propagation put the density maximum 0.30 from its start at t = 1 and
+1.61 at t = 3, against 0.5 and 4.5 for the parabola.
 """
 
 import math
@@ -99,14 +102,16 @@ def numeric_moments(params: WaveParams, t: float, tol: float = 1e-10) -> MomentR
         # corrections are below rounding
         return dx * float(values.sum())
 
-    rho = (field.conjugate() * field).real
-    norm = integral(rho)
-    mean_x = integral(xs * rho)
-    mean_x2 = integral(xs * xs * rho)
-    # hbar goes last, or a tiny hbar underflows <p**2> to 0
-    hb = params.hbar
-    mean_p = hb * integral((field.conjugate() * slope).imag)
-    mean_p2 = hb * (hb * integral((slope.conjugate() * slope).real))
+    # a sum that overflows is caught below, so numpy need not warn of it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rho = (field.conjugate() * field).real
+        norm = integral(rho)
+        mean_x = integral(xs * rho)
+        mean_x2 = integral(xs * xs * rho)
+        # hbar goes last, or a tiny hbar underflows <p**2> to 0
+        hb = params.hbar
+        mean_p = hb * integral((field.conjugate() * slope).imag)
+        mean_p2 = hb * (hb * integral((slope.conjugate() * slope).real))
     sums = (norm, mean_x, mean_x2, mean_p, mean_p2)
     # both tests are written so that a NaN fails them
     if not all(math.isfinite(v) for v in sums):
@@ -210,12 +215,10 @@ def table_report(params_list, airy, times, tol=None):
             if tol is not None:
                 numeric = numeric_moments(params, float(t))
                 for key, sq in (("mean_x", "mean_x2"), ("mean_p", "mean_p2")):
-                    # a numpy scale turns a closed form that underflowed to
-                    # 0 into an inf or NaN gap, not a ZeroDivisionError
-                    scale = np.float64(getattr(closed, sq))
-                    gaps.append(abs(getattr(numeric, key)
-                                    - getattr(closed, key)) / np.sqrt(scale))
-                    gaps.append(abs(getattr(numeric, sq) - scale) / scale)
+                    scale = getattr(closed, sq)
+                    gaps += [(getattr(numeric, key) - getattr(closed, key),
+                              math.sqrt(scale)),
+                             (getattr(numeric, sq) - scale, scale)]
                 row["numeric_mean_x2"] = numeric.mean_x2
                 row["numeric_mean_p2"] = numeric.mean_p2
             entry["rows"].append(row)
@@ -234,8 +237,11 @@ def table_report(params_list, airy, times, tol=None):
             a_entry["rows"].append(asdict(row))
         report["airy"] = a_entry
     if tol is not None:
-        # np.max keeps a NaN, where max(0.0, nan) would drop it
-        worst = float(np.max(gaps, initial=0.0))
+        # a closed form that underflowed to 0 gives an inf or NaN gap, which
+        # fails the tolerance; np.max keeps a NaN, where max() would drop it
+        gap, scale = np.reshape(gaps, (-1, 2)).T
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            worst = float(np.max(np.abs(gap) / scale, initial=0.0))
         report["worst_numeric_gap"] = worst
         report["all_within_tolerance"] = bool(worst <= tol)
     return report

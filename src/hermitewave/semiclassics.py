@@ -21,6 +21,7 @@ __all__ = [
     "PhasePoint",
     "PathFamily",
     "CausticPair",
+    "shell_axes",
     "initial_conditions",
     "path_family",
     "evolve_path",
@@ -56,13 +57,26 @@ class CausticPair(NamedTuple):
     x_minus: float
 
 
+def shell_axes(params: WaveParams) -> Tuple[float, float]:
+    """Semi-axes sqrt(2E / (m w**2)) and sqrt(2 m E) of the energy-E
+    ellipse; DomainError unless both are positive finite numbers."""
+    e, w = energy(params), params.omega
+    try:
+        axes = (math.sqrt(2.0 * e / (params.m * w * w)),
+                math.sqrt(2.0 * params.m * e))
+    except ZeroDivisionError:  # m w**2 underflowed to 0
+        axes = (math.inf, math.inf)
+    if not all(0.0 < a < math.inf for a in axes):
+        raise DomainError(f"energy-shell semi-axes {axes} are not both "
+                          f"positive finite numbers")
+    return axes
+
+
 def initial_conditions(params: WaveParams, theta: float) -> PhasePoint:
     """Launch point on the energy-E ellipse at angle theta."""
-    e = energy(params)
-    w = params.omega
-    x0 = math.sqrt(2.0 * e / (params.m * w * w)) * math.cos(theta)
-    p0 = math.sqrt(2.0 * params.m * e) * math.sin(theta)
-    return PhasePoint(x=x0, p=p0, theta=theta)
+    x_axis, p_axis = shell_axes(params)
+    return PhasePoint(x=x_axis * math.cos(theta), p=p_axis * math.sin(theta),
+                      theta=theta)
 
 
 def path_family(params: WaveParams, thetas: Sequence[float]) -> PathFamily:
@@ -160,7 +174,10 @@ def find_peaks(params: WaveParams, t: float) -> np.ndarray:
     kept = []
     step = 1e-4
     for xi0 in roots:
-        curv = dens(xi0 + step) - 2.0 * dens(xi0) + dens(xi0 - step)
+        # far out at large n, h * h overflows and a nan curvature drops the
+        # ridge: a known loss, which numpy need not also warn of
+        with np.errstate(over="ignore", invalid="ignore"):
+            curv = dens(xi0 + step) - 2.0 * dens(xi0) + dens(xi0 - step)
         if curv < 0.0:
             kept.append(xi0 / sqrt_a)
     return np.array(sorted(kept))

@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
-import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermitewave import _kernels
-from hermitewave.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
+from hermitewave.cli import (_COMMANDS, _SHARED_FLAGS, _option,
+                             EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
                              EXIT_NO_CONVERGENCE, EXIT_OK, RunConfig,
                              _branch_labels, _cells, _write_table, main)
 from hermitewave.semiclassics import (caustic, evolve_path, find_peaks,
@@ -87,19 +90,16 @@ def test_density_order_zero_single_ridge(tmp_path):
         assert xs[int(np.argmax(ds))] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_density_threads_env_equivalence(tmp_path, monkeypatch):
-    # more slices than workers, so the pool computes while the writer writes
-    for fmt in ("csv", "json"):
-        args = ["density", "--nx", "65", "--nt", "23", "--format", fmt]
-        written = []
-        for threads in ("1", "2", "4"):
-            out = tmp_path / f"{threads}.{fmt}"
-            monkeypatch.setenv("HERMITEWAVE_THREADS", threads)
-            assert main(args + ["--out", str(out)]) == EXIT_OK
-            written.append(out.read_bytes())
-        assert written[1:] == written[:1] * 2
-    monkeypatch.setenv("HERMITEWAVE_THREADS", "zero")
-    assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
+def test_density_far_outside_the_packet_is_zero(tmp_path):
+    # sqrt(alpha) * x overflows to inf, where the recurrence would make nan
+    out = tmp_path / "far.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["density", "--n", "3", "--mass", "1e200", "--xmin=-1e300",
+                     "--xmax", "1e300", "--nx", "5", "--nt", "2",
+                     "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out)
+    assert [float(r[2]) for r in rows] == [0.0] * 10
 
 
 def test_density_json_format(tmp_path):
@@ -306,7 +306,7 @@ def test_config_errors(tmp_path):
                 ["density", "--xmin=-inf"], ["density", "--xmax", "nan"],
                 ["caustic", "--mass", "nan"], ["peaks", "--hbar", "inf"],
                 ["paths", "--tmin=-inf"], ["density", "--tmax", "1e200"],
-                ["verify", "--tol", "nan"]):
+                ["observables", "--tol", "nan"]):
         out = tmp_path / "bad.out"
         assert main(bad + ["--out", str(out)]) == EXIT_CONFIG, bad
         assert not out.exists(), bad
@@ -320,6 +320,110 @@ def test_unwritable_path_is_io_error(tmp_path):
 
 def test_unknown_subcommand_exits_two():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["peaks", "--nx", "5"], ["verify", "--tol", "1e-3"],
+    ["observables", "--xmin", "-3"], ["density", "--thetas", "9"],
+    ["caustic", "--corrupt-phase"], ["observables", "--format", "csv"],
+    ["verify", "--format", "csv"]])
+def test_flag_the_command_does_not_read_exits_two(tmp_path, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # hbar**2 and (hbar / m)**2 overflow
+    ["observables", "--hbar", "1e160", "--mass", "1e-10"],
+    ["observables", "--n", "50", "--tc", "87.29", "--hbar", "15.27",
+     "--mass", "1.36e-192", "--tmin", "-75.5", "--tmax", "4.5e-196",
+     "--nt", "3"],
+    # the oracle's m * m underflows to 0
+    ["verify", "--n", "20", "--tc", "21.46", "--hbar", "121.5", "--mass",
+     "4.85e-200", "--tmin", "-0.0188", "--tmax", "0.91", "--nt", "3",
+     "--nx", "64"],
+    # the residual at half the step is exactly 0
+    ["verify", "--n", "1", "--tc", "3", "--hbar", "1000", "--mass", "1e30",
+     "--tmin", "-0.001", "--tmax", "1", "--nt", "3", "--nx", "64"],
+    # numpy overflows in the oracle's moments of a box reaching 1e155
+    ["verify", "--n", "0", "--mass", "1", "--tmin=-1", "--tmax=-1", "--nt",
+     "1", "--xmin=-1e155", "--xmax=-1", "--nx", "64"]])
+def test_value_outside_double_range_exits_three(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # sqrt(2 m E) overflows, and inf * sin(0) would be written as nan
+    ["paths", "--n", "2", "--tc", "0.5", "--hbar", "1e30", "--mass", "1e300",
+     "--tmin", "-1", "--tmax", "1e-30", "--nt", "3", "--thetas", "8"],
+    # m w**2 underflows to 0
+    ["phasespace", "--n", "20", "--tc", "2.48e135", "--hbar", "1.94e-279",
+     "--mass", "4.75e-128", "--thetas", "8"]])
+def test_energy_shell_outside_double_range_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "p.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "semi-axes" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _magnitudes():
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+def _signed():
+    return st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), _magnitudes()).map(
+        lambda sv: sv[0] * sv[1])
+
+
+# Values each flag is drawn from: parameters log-uniform in [1e-300, 1e300]
+# and sizes small enough that one run takes milliseconds.
+_DRAWS = {"n": st.integers(0, 50), "t_c": _magnitudes(),
+          "hbar": _magnitudes(), "m": _magnitudes(), "nt": st.integers(1, 3),
+          "nx": st.sampled_from((17, 64)), "thetas": st.integers(3, 8),
+          "tol": _magnitudes(), "corrupt_phase": st.booleans()}
+_ORDERED = {"t_min": "t_max", "x_min": "x_max"}
+
+
+@st.composite
+def _argv(draw, name):
+    command = _COMMANDS[name]
+    argv = [name, "--format", draw(st.sampled_from(command.formats))]
+    for flag in _SHARED_FLAGS + command.flags:
+        if flag in _ORDERED:
+            lo, hi = sorted((draw(_signed()), draw(_signed())))
+            argv += [f"{_option(flag)}={lo!r}",
+                     f"{_option(_ORDERED[flag])}={hi!r}"]
+        elif flag == "corrupt_phase":
+            argv += ["--corrupt-phase"] if draw(_DRAWS[flag]) else []
+        elif flag in _DRAWS:
+            argv += [_option(flag), repr(draw(_DRAWS[flag]))]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, name):
+    out = tmp_path / "fuzz.out"
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(argv=_argv(name))
+    def run(argv):
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG,
+                      EXIT_NO_CONVERGENCE, EXIT_IO), argv
+        if rc == EXIT_OK and name in _HEADERS:
+            assert "nan" not in out.read_text().lower(), argv
+
+    run()
 
 
 def stdlib_bytes(fmt, header, rows):
@@ -337,13 +441,16 @@ def stdlib_bytes(fmt, header, rows):
 
 
 _PARAMS = ["--n", "3", "--tc", "1.1", "--hbar", "0.9", "--mass", "0.45",
-           "--tmin", "-1.3", "--tmax", "2.1", "--nt", "4", "--xmin", "-5",
-           "--xmax", "6", "--nx", "7", "--thetas", "5"]
+           "--tmin", "-1.3", "--tmax", "2.1", "--nt", "4"]
+# the flags each grid subcommand reads beyond the shared ones
+_OWN_PARAMS = {"density": ["--xmin", "-5", "--xmax", "6", "--nx", "7"],
+               "paths": ["--thetas", "5"], "phasespace": ["--thetas", "5"]}
 
 
 def reference_rows(kind):
-    """Rows of each grid subcommand for ``_PARAMS`` as Python numbers, with
-    scalar launch points and free flight per (theta, t) row."""
+    """Rows of each grid subcommand for ``_PARAMS`` and ``_OWN_PARAMS`` as
+    Python numbers, with scalar launch points and free flight per (theta, t)
+    row."""
     p = WaveParams(n=3, t_c=1.1, hbar=0.9, m=0.45)
     times = np.linspace(-1.3, 2.1, 4).tolist()
     angles = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False).tolist()
@@ -378,7 +485,7 @@ _HEADERS = {"density": ("x", "t", "density"),
 @pytest.mark.parametrize("kind", list(_HEADERS))
 def test_grid_artifact_bytes_match_stdlib(tmp_path, kind, fmt):
     out = tmp_path / f"{kind}.{fmt}"
-    assert main([kind, *_PARAMS, "--format", fmt,
+    assert main([kind, *_PARAMS, *_OWN_PARAMS.get(kind, ()), "--format", fmt,
                  "--out", str(out)]) == EXIT_OK
     rows = reference_rows(kind)
     assert rows
