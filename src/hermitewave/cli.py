@@ -28,9 +28,10 @@ for its momentum content (past the Nyquist wavenumber pi / dx).
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor is not called here; it stays importable as
+# ``cli.ThreadPoolExecutor`` because perfbench/tracing.py replaces that name.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -173,18 +174,12 @@ def cmd_density(config: RunConfig) -> int:
     params = config.wave_params()
     xs = config.grid().xs()
     fmt = config.fmt
-
-    def one_row(t):
-        return _kernels.density_profile(xs, params.n, t, params.t_c,
-                                        params.m, params.hbar)
-
-    # The pool computes later slices while this thread formats earlier ones.
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 8)) as pool:
-        x_cells = _cells(xs, fmt)
-        blocks = ((x_cells, _cells([t], fmt) * xs.size, _cells(profile, fmt))
-                  for t, profile in zip(config.times,
-                                        pool.map(one_row, config.times)))
-        return _write_table(config, ("x", "t", "density"), blocks)
+    x_cells = _cells(xs, fmt)
+    blocks = ((x_cells, _cells([t], fmt) * xs.size,
+               _cells(_kernels.density_profile(xs, params.n, t, params.t_c,
+                                               params.m, params.hbar), fmt))
+              for t in config.times)
+    return _write_table(config, ("x", "t", "density"), blocks)
 
 
 def cmd_peaks(config: RunConfig) -> int:
@@ -381,6 +376,22 @@ def _option(flag: str) -> str:
     return "--mass" if flag == "m" else "--" + flag.replace("_", "")
 
 
+_NUMERIC = frozenset(_option(name) for name, field in _FIELDS.items()
+                     if field.type in (int, float))
+
+
+def _attach_values(argv):
+    """argv with each numeric flag joined to the token after it, as in
+    ``--tmin=-1e-3``: argparse takes a token that starts with "-" for a value
+    only if it reads like -1 or -.5, so "--tmin -1e-3" would lack one."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _NUMERIC:
+            token = joined.pop() + "=" + token
+        joined.append(token)
+    return joined
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermitewave",
@@ -429,7 +440,8 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

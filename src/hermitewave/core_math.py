@@ -148,7 +148,7 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-10,
         err = math.fsum(item[5] for item in heap)
         return value, err
 
-    min_width = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+    min_width = 64.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     while True:
         value, err = _totals()
         if err <= tol:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -312,6 +313,46 @@ def test_config_errors(tmp_path):
         assert not out.exists(), bad
 
 
+@pytest.mark.parametrize("command, flag, value, rest", [
+    ("density", "--tmin", "-1e-3", ["--tmax", "1", "--nt", "3", "--nx", "5"]),
+    ("density", "--xmin", "-2e0", ["--nt", "1", "--nx", "5"]),
+    ("peaks", "--tmin", "-5e-1", ["--nt", "1"])])
+def test_negative_value_in_any_float_spelling(tmp_path, command, flag, value,
+                                              rest):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main([command, flag, value, *rest, "--out", str(spaced)]) == EXIT_OK
+    assert main([command, f"{flag}={value}", *rest,
+                 "--out", str(joined)]) == EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_negative_infinite_bound_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    argv = ["density", "--tmin", "-inf", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: grid bounds must be finite\n"
+    assert not out.exists()
+
+
+def test_density_slices_run_on_the_calling_thread(tmp_path, monkeypatch):
+    seen = []
+    profile = _kernels.density_profile
+
+    def recorded(*args):
+        seen.append((threading.get_ident(), np.geterr()))
+        return profile(*args)
+
+    monkeypatch.setattr(_kernels, "density_profile", recorded)
+    assert main(["density", "--nx", "9", "--nt", "7",
+                 "--out", str(tmp_path / "d.csv")]) == EXIT_OK
+    assert len(seen) == 7
+    for ident, state in seen:
+        assert ident == threading.get_ident()
+        assert {k: state[k] for k in ("over", "divide", "invalid")} == dict(
+            over="raise", divide="raise", invalid="raise")
+
+
 def test_unwritable_path_is_io_error(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["caustic", "--nt", "3", "--tmin", "0", "--tmax", "1",
@@ -397,8 +438,8 @@ def _argv(draw, name):
     for flag in _SHARED_FLAGS + command.flags:
         if flag in _ORDERED:
             lo, hi = sorted((draw(_signed()), draw(_signed())))
-            argv += [f"{_option(flag)}={lo!r}",
-                     f"{_option(_ORDERED[flag])}={hi!r}"]
+            argv += [_option(flag), repr(lo), _option(_ORDERED[flag]),
+                     repr(hi)]
         elif flag == "corrupt_phase":
             argv += ["--corrupt-phase"] if draw(_DRAWS[flag]) else []
         elif flag in _DRAWS:

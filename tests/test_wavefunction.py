@@ -100,6 +100,16 @@ def test_total_probability_is_one():
             assert abs(total_probability(p, t) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("n, m, t", [
+    (31, 1e100, 0.0), (2, 1e300, 0.0), (50, 1e200, 3.0), (31, 5.4e276, 0.0),
+    (31, 1e10, 0.0)])
+def test_total_probability_of_a_packet_far_narrower_than_one(n, m, t):
+    # the support is ~sqrt(hbar t_c / m) wide, 1e-49 at m = 1e100, so the
+    # quadrature's smallest panel must scale with the interval, not with 1
+    p = WaveParams(n=n, m=m)
+    assert abs(total_probability(p, t) - 1.0) < 1e-10
+
+
 def test_energy_ladder():
     assert energy(WaveParams(n=0)) == 0.25
     assert energy(WaveParams(n=1)) == 0.75
