@@ -1,17 +1,20 @@
 """Scalar numerical building blocks.
 
-Hermite polynomial pairs by upward recurrence, an adaptive Gauss-Kronrod
-quadrature, and a bracketed bisection/secant root finder. Everything here is
-pure and reentrant.
+Hermite polynomial pairs by upward recurrence on Python floats, an adaptive
+Gauss-Kronrod quadrature, and a bracketed root finder by Brent's method.
+Everything here is pure and reentrant.
 """
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketingError, ConvergenceError, DomainError
+
+_EPS = sys.float_info.epsilon
 
 __all__ = [
     "HermitePair",
@@ -39,21 +42,38 @@ class QuadratureResult:
     evaluations: int
 
 
+# 2k for k = 0, 1, ...: the recurrence's second coefficient as Python
+# floats. The tuple only ever grows, by replacement, so readers never see
+# it change under them.
+_TWO_K = ()
+
+
 def hermite_pair(n: int, y: float) -> HermitePair:
     """Evaluate (H_n(y), H_{n-1}(y)) by upward recurrence.
 
     H_0 = 1, H_1 = 2y, H_{k+1} = 2y H_k - 2k H_{k-1}. For n = 0 the h_nm1
     slot is reported as 0 so the derivative identity H_n' = 2n H_{n-1}
     degenerates gracefully.
+
+    The loop runs on Python floats whatever the type of ``y``, with 2y
+    formed once and 2k read from a cached tuple. The products are the
+    same IEEE operations as in ``2.0 * y * h_k - 2.0 * k * h_km1``, so the
+    values are bit for bit those of that loop, inf and nan included; an
+    overflow gives inf without a numpy warning.
     """
+    global _TWO_K
     if n < 0 or n != int(n):
         raise DomainError(f"order must be a non-negative integer, got {n}")
     if not math.isfinite(y):
         raise DomainError(f"argument must be finite, got {y}")
+    n = int(n)
+    if len(_TWO_K) < n:
+        _TWO_K = tuple(2.0 * k for k in range(2 * n))
+    two_y = 2.0 * float(y)
     hn, hnm1 = 1.0, 0.0
-    for k in range(int(n)):
-        hnm1, hn = hn, 2.0 * y * hn - 2.0 * k * hnm1
-    return HermitePair(h_n=hn, h_nm1=hnm1, n=int(n), y=y)
+    for two_k in _TWO_K[:n]:
+        hnm1, hn = hn, two_y * hn - two_k * hnm1
+    return HermitePair(h_n=hn, h_nm1=hnm1, n=n, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +194,13 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12,
               max_iter: int = 200) -> float:
     """Locate a root of ``f`` inside a sign-changing bracket [lo, hi].
 
-    Bisection guarantees progress; a secant proposal is taken whenever it
-    falls safely inside the current bracket. Terminates when the bracket
-    width drops below ``tol`` (absolute in x) or an exact zero is hit.
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps
+    while they shrink the bracket fast enough, bisection otherwise, so
+    convergence is superlinear on smooth roots and never slower than
+    bisection. Terminates when the bracket is narrower than
+    ``tol + 4 eps |x|`` (``tol`` absolute in x), on an exact zero, or after
+    ``max_iter`` evaluations past the endpoints. Returns the best estimate:
+    on convergence, the bracket end with the smaller ``|f|``.
     """
     fa = f(lo)
     if fa == 0.0:
@@ -187,21 +211,45 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12,
     if (fa > 0.0) == (fb > 0.0):
         raise BracketingError(
             f"f({lo}) = {fa} and f({hi}) = {fb} do not bracket a sign change")
+    # b is the best estimate, c keeps the sign change with b, a is the
+    # previous b; d is the last step and e the one before it
     a, b = lo, hi
-    for it in range(max_iter):
-        width = b - a
-        if width <= tol:
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
             break
-        x = 0.5 * (a + b)
-        if it % 3 != 2 and fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            if a + 0.01 * width < secant < b - 0.01 * width:
-                x = secant
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fa > 0.0):
-            a, fa = x, fx
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            b, fb = x, fx
-    return 0.5 * (a + b)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+        if fb == 0.0:
+            return b
+    return b

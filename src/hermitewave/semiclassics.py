@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .core_math import find_root, hermite_pair
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .wavefunction import WaveParams, energy
 
 __all__ = [
@@ -140,12 +140,16 @@ def caustic(params: WaveParams, t: float) -> CausticPair:
 
 
 def find_peaks(params: WaveParams, t: float) -> np.ndarray:
-    """All density maxima in x at time t, ascending.
+    """All n + 1 density maxima in x at time t, ascending.
 
-    Scans the peak condition over |xi| <= sqrt(2n + 1) + 4 (the classically
-    allowed region plus tail), refines each sign change by bisection/secant,
-    then keeps only roots where the density curvature is negative. There are
-    n + 1 of them.
+    Up to positive factors rho'(xi) = H_n(xi) g(xi), with
+    g = 2n H_{n-1} - xi H_n. The zeros of g interlace with those of H_n,
+    where rho vanishes, so every root of g is a maximum and there is no
+    curvature test to make. Scans g over |xi| <= sqrt(2n + 1) + 4 (the
+    classically allowed region plus tail) and polishes each sign change
+    with Brent's method. Raises ConvergenceError when the scan leaves
+    double range (the raw recurrence overflows there from n = 189) or does
+    not find exactly n + 1 roots.
     """
     n = params.n
     sqrt_a = math.sqrt(params.alpha(t))
@@ -156,31 +160,28 @@ def find_peaks(params: WaveParams, t: float) -> np.ndarray:
         return 2.0 * n * pair.h_nm1 - xi * pair.h_n
 
     grid = np.linspace(-xi_max, xi_max, 4096)
-    vals = np.array([g(v) for v in grid])
+    # an overflow is reported below, as the scan leaving double range
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.array([g(v) for v in grid])
+    if not np.isfinite(vals).all():
+        raise ConvergenceError(
+            f"ridge scan for n = {n} leaves double range: the Hermite "
+            f"recurrence overflows within |xi| <= {xi_max:.4g}")
     roots = []
     for i in range(grid.size - 1):
+        # a zero on the grid is a root once, not also a bracket end
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             roots.append(grid[i])
-        elif (a > 0.0) != (b > 0.0):
+        elif b != 0.0 and (a > 0.0) != (b > 0.0):
             roots.append(find_root(g, grid[i], grid[i + 1], tol=1e-14))
     if vals[-1] == 0.0:
         roots.append(grid[-1])
-
-    def dens(xi):
-        h = hermite_pair(n, xi).h_n
-        return h * h * math.exp(-xi * xi)
-
-    kept = []
-    step = 1e-4
-    for xi0 in roots:
-        # far out at large n, h * h overflows and a nan curvature drops the
-        # ridge: a known loss, which numpy need not also warn of
-        with np.errstate(over="ignore", invalid="ignore"):
-            curv = dens(xi0 + step) - 2.0 * dens(xi0) + dens(xi0 - step)
-        if curv < 0.0:
-            kept.append(xi0 / sqrt_a)
-    return np.array(sorted(kept))
+    if len(roots) != n + 1:
+        raise ConvergenceError(
+            f"ridge scan for n = {n} found {len(roots)} ridges, not "
+            f"{n + 1}")
+    return np.array(roots) / sqrt_a
 
 
 def peak_hyperbola_n2(params: WaveParams, t: float) -> CausticPair:

@@ -125,6 +125,25 @@ def test_peaks_rows(tmp_path):
     assert t0[2][0] == pytest.approx(math.sqrt(5), abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [120, 150, 186])
+def test_peaks_writes_every_ridge_at_high_orders(tmp_path, n):
+    out = tmp_path / "p.csv"
+    assert main(["peaks", "--n", str(n), "--nt", "2", "--out",
+                 str(out)]) == EXIT_OK
+    _, rows = read_csv(out)
+    assert [int(r[2]) for r in rows] == _branch_labels(n + 1) * 2
+    assert len({r[0] for r in rows}) == 2
+
+
+def test_peaks_past_the_overflowing_recurrence_exits_three(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert main(["peaks", "--n", "200", "--nt", "2", "--out",
+                 str(out)]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ConvergenceError: ")
+    assert "n = 200" in err and err.count("\n") == 1
+
+
 def test_peaks_other_orders(tmp_path):
     out = tmp_path / "p1.csv"
     assert main(["peaks", "--n", "1", "--nt", "1", "--tmin", "0",
@@ -413,37 +432,39 @@ def test_energy_shell_outside_double_range_exits_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def _magnitudes():
-    return st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+def _magnitudes(decades=300.0):
+    return st.floats(-decades, decades).map(lambda e: 10.0 ** e)
 
 
-def _signed():
-    return st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), _magnitudes()).map(
-        lambda sv: sv[0] * sv[1])
+def _signed(decades=300.0):
+    return st.tuples(st.sampled_from((-1.0, 0.0, 1.0)),
+                     _magnitudes(decades)).map(lambda sv: sv[0] * sv[1])
 
 
 # Values each flag is drawn from: parameters log-uniform in [1e-300, 1e300]
-# and sizes small enough that one run takes milliseconds.
+# and sizes small enough that one run takes milliseconds. The two ends of an
+# ordered pair are drawn from one strategy and sorted.
 _DRAWS = {"n": st.integers(0, 50), "t_c": _magnitudes(),
           "hbar": _magnitudes(), "m": _magnitudes(), "nt": st.integers(1, 3),
           "nx": st.sampled_from((17, 64)), "thetas": st.integers(3, 8),
-          "tol": _magnitudes(), "corrupt_phase": st.booleans()}
+          "tol": _magnitudes(), "corrupt_phase": st.booleans(),
+          "t_min": _signed(), "x_min": _signed()}
 _ORDERED = {"t_min": "t_max", "x_min": "x_max"}
 
 
 @st.composite
-def _argv(draw, name):
+def _argv(draw, name, draws=_DRAWS):
     command = _COMMANDS[name]
     argv = [name, "--format", draw(st.sampled_from(command.formats))]
     for flag in _SHARED_FLAGS + command.flags:
         if flag in _ORDERED:
-            lo, hi = sorted((draw(_signed()), draw(_signed())))
+            lo, hi = sorted((draw(draws[flag]), draw(draws[flag])))
             argv += [_option(flag), repr(lo), _option(_ORDERED[flag]),
                      repr(hi)]
         elif flag == "corrupt_phase":
-            argv += ["--corrupt-phase"] if draw(_DRAWS[flag]) else []
-        elif flag in _DRAWS:
-            argv += [_option(flag), repr(draw(_DRAWS[flag]))]
+            argv += ["--corrupt-phase"] if draw(draws[flag]) else []
+        elif flag in draws:
+            argv += [_option(flag), repr(draw(draws[flag]))]
     return argv
 
 
@@ -463,6 +484,37 @@ def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, name):
                       EXIT_NO_CONVERGENCE, EXIT_IO), argv
         if rc == EXIT_OK and name in _HEADERS:
             assert "nan" not in out.read_text().lower(), argv
+
+    run()
+
+
+# Every accepted order, log-uniform, and parameters within 50 decades of 1,
+# where alpha(t) stays inside double range and the config is accepted.
+_PEAKS_DRAWS = {**_DRAWS, "t_c": _magnitudes(50.0), "hbar": _magnitudes(50.0),
+                "m": _magnitudes(50.0), "t_min": _signed(50.0),
+                "n": st.integers(0, 1000).map(
+                    lambda k: round((MAX_ORDER + 1) ** (k / 1000)) - 1)}
+
+
+def test_fuzzed_peaks_up_to_the_order_limit(tmp_path):
+    out = tmp_path / "fuzz.out"
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(argv=_argv("peaks", _PEAKS_DRAWS))
+    def run(argv):
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_NO_CONVERGENCE), argv
+        if rc == EXIT_OK:
+            n = int(argv[argv.index("--n") + 1])
+            nt = int(argv[argv.index("--nt") + 1])
+            rows = (json.loads(out.read_text())["rows"] if "json" in argv
+                    else read_csv(out)[1])
+            assert [int(r[2]) for r in rows] == _branch_labels(n + 1) * nt, \
+                argv
 
     run()
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hermitewave import core_math
 from hermitewave.core_math import _gk_panel, find_root, hermite_pair, integrate
 from hermitewave.errors import BracketingError, ConvergenceError, DomainError
 
@@ -26,6 +27,37 @@ def test_hermite_pair_matches_numpy_basis():
         ref = np.polynomial.hermite.hermval(y, [0.0] * n + [1.0])
         got = hermite_pair(n, y).h_n
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def textbook_pair(n, y):
+    """(H_n, H_{n-1}) by the recurrence as written, in the type of y."""
+    hn, hnm1 = 1.0, 0.0
+    for k in range(n):
+        hnm1, hn = hn, 2.0 * y * hn - 2.0 * k * hnm1
+    return hn, hnm1
+
+
+def bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+def test_hermite_pair_is_bit_identical_to_the_textbook_loop(monkeypatch):
+    # start from an empty coefficient tuple: a small order grows it, a large
+    # one grows it again, and later orders read a prefix of it
+    monkeypatch.setattr(core_math, "_TWO_K", ())
+    # at y = +-30 the loop overflows to +-inf at n = 176, and inf - inf
+    # gives nan from n = 177 on (at every y by n = 650): both must land in
+    # the same places
+    ys = (0.0, 0.37, -1.3, 2.5, -7.75, 30.0, -30.0)
+    for n in (8, 1000, 0, 1, 2, 120, 176, 650):
+        for arg in (*ys, *map(np.float64, ys)):
+            got = hermite_pair(n, arg)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = textbook_pair(n, arg)
+            assert (bits(got.h_n), bits(got.h_nm1)) == tuple(
+                map(bits, ref)), (n, arg)
+    assert hermite_pair(176, -30.0).h_n == math.inf
+    assert math.isnan(hermite_pair(650, 30.0).h_n)
 
 
 def test_hermite_pair_rejects_bad_input():

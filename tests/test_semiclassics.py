@@ -1,9 +1,14 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermitewave.errors import DomainError
+from hermitewave import semiclassics
+from hermitewave.core_math import find_root
+from hermitewave.errors import ConvergenceError, DomainError
 from hermitewave.semiclassics import (CausticPair, caustic, enclosed_area,
                                       evolve_path, expected_area, find_peaks,
                                       initial_conditions, path_family,
@@ -109,6 +114,65 @@ def test_find_peaks_count_is_order_plus_one():
         peaks = find_peaks(WaveParams(n=n), t)
         assert peaks.size == n + 1
         assert np.all(np.diff(peaks) > 0)
+
+
+def mp_root_gap(n, xi):
+    """Distance from xi to the nearest root of g = 2n H_{n-1} - xi H_n, as
+    the Newton step g / g' at 50 digits, with g' = 4n(n-1) H_{n-2} - H_n
+    - 2n xi H_{n-1} from H_k' = 2k H_{k-1}."""
+    with mp.workdps(50):
+        x = mp.mpf(xi)
+        h2, h1, h = mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for k in range(n):
+            h2, h1, h = h1, h, 2 * x * h - 2 * k * h1
+        g = 2 * n * h1 - x * h
+        slope = 4 * n * (n - 1) * h2 - h - 2 * n * x * h1
+        return float(abs(g / slope))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 186), ratio=st.floats(-30.0, 30.0),
+       log_t_c=st.floats(-6.0, 6.0), log_hbar=st.floats(-6.0, 6.0),
+       log_m=st.floats(-6.0, 6.0))
+def test_find_peaks_matches_mpmath(n, ratio, log_t_c, log_hbar, log_m):
+    params = WaveParams(n=n, t_c=10.0 ** log_t_c, hbar=10.0 ** log_hbar,
+                        m=10.0 ** log_m)
+    t = ratio * params.t_c
+    xi = find_peaks(params, t) * math.sqrt(params.alpha(t))
+    tol = 1e-14 * math.sqrt(2.0 * n + 1.0)
+    # n + 1 ridges, each at a root and no two at one: so every root of g
+    assert xi.size == n + 1
+    assert np.all(np.diff(xi) > 2.0 * tol)
+    assert max(mp_root_gap(n, v) for v in xi.tolist()) <= tol
+
+
+def test_brent_polish_takes_few_evaluations(monkeypatch):
+    # the ridge brackets of find_peaks, then random cubics
+    counts = []
+
+    def counted(f, *args, **kwargs):
+        counts.append(0)
+
+        def inner(x):
+            counts[-1] += 1
+            return f(x)
+        return find_root(inner, *args, **kwargs)
+
+    monkeypatch.setattr(semiclassics, "find_root", counted)
+    for n in (2, 8, 120):
+        find_peaks(WaveParams(n=n), 0.7)
+    assert len(counts) == 3 + 9 + 121
+    rng = np.random.default_rng(4242)
+    for r in rng.uniform(-1, 1, size=50).tolist():
+        root = counted(lambda x: (x - r) * (x * x + 1.0), -2.0, 2.0)
+        assert root == pytest.approx(r, abs=1e-10)
+    assert max(counts) <= 12
+
+
+def test_find_peaks_refuses_an_overflowing_scan():
+    # the raw recurrence leaves double range inside the scan from n = 189
+    with pytest.raises(ConvergenceError, match="n = 190"):
+        find_peaks(WaveParams(n=190), 0.5)
 
 
 def test_outer_peaks_follow_hyperbola():
