@@ -3,14 +3,19 @@
 Every computation in the package is reachable as a subcommand that writes a
 figure-ready CSV or JSON artifact. Output is deterministic: identical
 configuration yields byte-identical files, with floats in their shortest
-round-trip form (``repr``), UTF-8 and LF endings. The grid commands stream
-their rows through one writer, ``_write_table``, one time slice, launch
-angle or run of caustic times at a time. Its CSV is what
-``csv.writer(lineterminator="\\n")`` writes and its JSON is exactly
-``json.dump(..., indent=2, sort_keys=True)`` of ``{"header": ..., "rows":
-...}`` plus a final newline. A float column that reads the same backwards,
-bit for bit (every density slice on an x window symmetric about 0, since
-|psi|^2 is even in x), has only its first half formatted.
+round-trip form (``repr``), UTF-8 and LF endings. The grid commands format
+their rows (``_table_text``) one time slice, launch angle or run of caustic
+times at a time. Their CSV is what ``csv.writer(lineterminator="\\n")``
+writes; their JSON, like a report, is exactly ``json.dump(..., indent=2,
+sort_keys=True)`` (of ``{"header": ..., "rows": ...}``) plus a final
+newline. A float column that reads the same backwards, bit for bit (every
+density slice on an x window symmetric about 0, since |psi|^2 is even in
+x), has only its first half formatted.
+
+Every artifact reaches disk through ``_publish``, all or nothing: a file
+appears or is replaced only on exit 0 or 1. ``--out`` names a regular file
+or a new one, in a writable directory; a symlink is written through, and
+any other existing target (a FIFO, a device, a directory) exits 4.
 
 Each subcommand takes ``--n --tc --hbar --mass --tmin --tmax --nt --out
 --format``; ``density`` and ``verify`` also take ``--xmin --xmax --nx``,
@@ -19,15 +24,17 @@ Each subcommand takes ``--n --tc --hbar --mass --tmin --tmax --nt --out
 write JSON only. Defaults are ``RunConfig``'s unless the table sets its own.
 
 Exit codes: 0 success, 1 a check failed, 2 bad configuration (including an
-order above ``MAX_ORDER`` = 650), 3 numerical failure (non-convergence or a
-value outside double range), 4 I/O failure. ``verify``'s spectral oracle
-refuses, with a diagnostic, a box the packet outgrows and a grid too coarse
-for its momentum content (past the Nyquist wavenumber pi / dx).
+order above ``MAX_ORDER`` = 650 and a grid too large for memory), 3
+numerical failure (non-convergence or a value outside double range), 4 I/O
+failure. ``verify``'s spectral oracle refuses, with a diagnostic, a box the
+packet outgrows and a grid too coarse for its momentum content (past the
+Nyquist wavenumber pi / dx).
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 # ThreadPoolExecutor is not called here; it stays importable as
 # ``cli.ThreadPoolExecutor`` because perfbench/tracing.py replaces that name.
@@ -121,18 +128,16 @@ def _cells(values, fmt: str) -> list:
     return cells
 
 
-def _write_table(config: RunConfig, header, blocks) -> int:
-    """Stream a table to ``config.output_path()``, one block at a time, and
-    print the path written.
+def _table_text(fmt: str, header, blocks):
+    """The text of a table in chunks: the head, each block's rows, the tail.
 
     A block is a tuple of equal-length columns of cells from ``_cells``
     (one time slice, one launch angle or one run of caustic times), so a
-    value repeated down a column is formatted once. Bytes: shortest-repr
-    floats and LF endings; CSV as ``csv.writer(lineterminator="\\n")`` writes
-    it; JSON exactly as ``json.dump(..., indent=2, sort_keys=True)`` plus
-    ``"\\n"``, down to ``NaN``/``Infinity`` and an empty ``"rows": []``.
+    value repeated down a column is formatted once. The bytes are those the
+    module docstring gives, down to ``NaN``/``Infinity`` and an empty
+    ``"rows": []``.
     """
-    if config.fmt == "csv":
+    if fmt == "csv":
         head, cell_sep, row_sep = ",".join(header) + "\n", ",", "\n"
         first, tail, empty_tail = "", "\n", ""
     else:
@@ -140,25 +145,39 @@ def _write_table(config: RunConfig, header, blocks) -> int:
                 + '\n  ],\n  "rows": [')
         cell_sep, row_sep = ",\n      ", "\n    ],\n    [\n      "
         first, tail, empty_tail = "\n    [\n      ", "\n    ]\n  ]\n}\n", "]\n}\n"
-    path = config.output_path()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(head)
-        lead = first
-        for columns in blocks:
-            if len(columns[0]):
-                fh.write(lead)
-                fh.write(row_sep.join(map(cell_sep.join, zip(*columns))))
-                lead = row_sep
-        fh.write(tail if lead is row_sep else empty_tail)
+    yield head
+    lead = first
+    for columns in blocks:
+        if len(columns[0]):
+            yield lead + row_sep.join(map(cell_sep.join, zip(*columns)))
+            lead = row_sep
+    yield tail if lead is row_sep else empty_tail
+
+
+def _publish(path: str, chunks) -> int:
+    """Write the text ``chunks`` to ``path`` all or nothing; print the path.
+
+    The chunks go to a ``.part`` file beside the target, which replaces the
+    target only once the last chunk is written.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"{path} exists and is not a regular file")
+    part = f"{target}.{os.getpid()}.part"
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(part, target)
+    finally:  # also on KeyboardInterrupt; after os.replace it is gone
+        if os.path.lexists(part):
+            os.remove(part)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _write_json(path: str, payload: dict) -> str:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _write_json(path: str, payload: dict) -> int:
+    return _publish(path,
+                    [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _branch_labels(count: int):
@@ -179,7 +198,8 @@ def cmd_density(config: RunConfig) -> int:
                _cells(_kernels.density_profile(xs, params.n, t, params.t_c,
                                                params.m, params.hbar), fmt))
               for t in config.times)
-    return _write_table(config, ("x", "t", "density"), blocks)
+    return _publish(config.output_path(),
+                    _table_text(fmt, ("x", "t", "density"), blocks))
 
 
 def cmd_peaks(config: RunConfig) -> int:
@@ -192,7 +212,8 @@ def cmd_peaks(config: RunConfig) -> int:
             yield (_cells([t], fmt) * peaks.size, _cells(peaks, fmt),
                    _cells(_branch_labels(peaks.size), fmt))
 
-    return _write_table(config, ("t", "x_peak", "branch"), blocks())
+    return _publish(config.output_path(),
+                    _table_text(fmt, ("t", "x_peak", "branch"), blocks()))
 
 
 # Rows per caustic block: few enough calls to ``_cells``, while a block's
@@ -210,7 +231,8 @@ def cmd_caustic(config: RunConfig) -> int:
             x_plus, x_minus = zip(*(caustic(params, t) for t in ts))
             yield _cells(ts, fmt), _cells(x_plus, fmt), _cells(x_minus, fmt)
 
-    return _write_table(config, ("t", "x_plus", "x_minus"), blocks())
+    return _publish(config.output_path(),
+                    _table_text(fmt, ("t", "x_plus", "x_minus"), blocks()))
 
 
 def _path_blocks(config: RunConfig, per_angle: bool):
@@ -242,13 +264,15 @@ def _path_blocks(config: RunConfig, per_angle: bool):
 
 
 def cmd_paths(config: RunConfig) -> int:
-    return _write_table(config, ("theta", "t", "x", "p"),
-                        _path_blocks(config, per_angle=True))
+    blocks = _path_blocks(config, per_angle=True)
+    return _publish(config.output_path(),
+                    _table_text(config.fmt, ("theta", "t", "x", "p"), blocks))
 
 
 def cmd_phasespace(config: RunConfig) -> int:
-    return _write_table(config, ("t", "theta", "x", "p"),
-                        _path_blocks(config, per_angle=False))
+    blocks = _path_blocks(config, per_angle=False)
+    return _publish(config.output_path(),
+                    _table_text(config.fmt, ("t", "theta", "x", "p"), blocks))
 
 
 def cmd_observables(config: RunConfig) -> int:
@@ -259,9 +283,8 @@ def cmd_observables(config: RunConfig) -> int:
     airy = AiryParams(v=1.0, a=1.0)
     report = table_report(packets, airy, config.times, tol=config.tol)
     report["config"] = config.to_dict()
-    path = _write_json(config.output_path(), report)
+    _write_json(config.output_path(), report)
     ok = report["heisenberg_ok"] and bool(report["all_within_tolerance"])
-    print(f"wrote {path}")
     print(f"worst numeric gap {report['worst_numeric_gap']:.3e} "
           f"(tol {config.tol:.3e})")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -330,11 +353,10 @@ def cmd_verify(config: RunConfig, corrupt_phase: bool = False) -> int:
     all_ok = all(c["passed"] for c in checks)
     report = {"passed": all_ok, "checks": checks,
               "config": config.to_dict()}
-    path = _write_json(config.output_path(), report)
     for c in checks:
         state = "ok" if c["passed"] else "FAIL"
         print(f"{state:4s} {c['name']}")
-    print(f"wrote {path}")
+    _write_json(config.output_path(), report)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -451,8 +473,9 @@ def main(argv=None) -> int:
         # ArithmeticError, instead of being written as inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[config.command].handler(config, **switches)
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (DomainError, MemoryError) as exc:  # a grid too large for memory
+        print(f"config error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, BracketingError, GridTooSmallError,
             GridMismatchError, ArithmeticError) as exc:

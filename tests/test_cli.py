@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import threading
 import warnings
 
@@ -14,7 +16,8 @@ from hermitewave import _kernels
 from hermitewave.cli import (_COMMANDS, _SHARED_FLAGS, _option,
                              EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
                              EXIT_NO_CONVERGENCE, EXIT_OK, RunConfig,
-                             _branch_labels, _cells, _write_table, main)
+                             _branch_labels, _cells, _publish,
+                             _table_text, _write_json, main)
 from hermitewave.semiclassics import (caustic, evolve_path, find_peaks,
                                       initial_conditions)
 from hermitewave.wavefunction import MAX_ORDER, WaveParams
@@ -142,6 +145,18 @@ def test_peaks_past_the_overflowing_recurrence_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ConvergenceError: ")
     assert "n = 200" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_rerun_keeps_the_good_artifact(tmp_path):
+    out = tmp_path / "p.csv"
+    assert main(["peaks", "--n", "2", "--nt", "5",
+                 "--out", str(out)]) == EXIT_OK
+    good = out.read_bytes()
+    assert main(["peaks", "--n", "200", "--nt", "2", "--out",
+                 str(out)]) == EXIT_NO_CONVERGENCE
+    assert out.read_bytes() == good
+    assert list(tmp_path.glob("*.part")) == []
 
 
 def test_peaks_other_orders(tmp_path):
@@ -372,6 +387,134 @@ def test_density_slices_run_on_the_calling_thread(tmp_path, monkeypatch):
             over="raise", divide="raise", invalid="raise")
 
 
+def test_interrupt_inside_a_block_leaves_no_file(tmp_path, monkeypatch):
+    profile = _kernels.density_profile
+    slices = []
+
+    def interrupted(*args):  # the second slice is interrupted
+        slices.append(args)
+        if len(slices) == 2:
+            raise KeyboardInterrupt
+        return profile(*args)
+
+    monkeypatch.setattr(_kernels, "density_profile", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["density", "--nx", "9", "--nt", "3",
+              "--out", str(tmp_path / "d.csv")])
+    assert len(slices) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+    "and data type float64", ""])
+def test_grid_too_large_for_memory_exits_two(tmp_path, capsys, monkeypatch,
+                                             message):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(_kernels, "density_profile", exhausted)
+    assert main(["density", "--nx", "9", "--nt", "2",
+                 "--out", str(tmp_path / "d.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {message or 'MemoryError'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_out_that_is_not_a_regular_file_exits_four(tmp_path, capsys, kind):
+    target = tmp_path / kind
+    if kind == "fifo":
+        os.mkfifo(target)
+    else:
+        target.mkdir()
+    # a reader that never blocks, so that a writer opening the FIFO does
+    # not wait for one
+    reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK) \
+        if kind == "fifo" else None
+    try:
+        assert main(["caustic", "--nt", "3", "--out", str(target)]) == EXIT_IO
+        if reader is not None:
+            assert os.read(reader, 4096) == b""
+    finally:
+        if reader is not None:
+            os.close(reader)
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {target} exists and is not a regular file\n"
+    assert (stat.S_ISFIFO if kind == "fifo" else stat.S_ISDIR)(
+        os.lstat(target).st_mode)
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_symlinked_out_updates_the_file_it_points_to(tmp_path, capsys):
+    real = tmp_path / "data" / "real.csv"
+    real.parent.mkdir()
+    real.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert main(["caustic", "--nt", "3", "--out", str(link)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {link}\n"
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes().startswith(b"t,x_plus,x_minus\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "data", "link.csv", "real.csv"]
+
+
+def test_report_bytes_match_json_dump(tmp_path, capsys):
+    payload = {"z": math.nan, "a": [math.inf, -math.inf, -0.0, 1e-300],
+               "nested": {"\u03c8": "Schr\u00f6dinger \u221e", "b": {
+                   "c": [None, True, 3], "d": {}}}, "\u00e9": []}
+    out = tmp_path / "r.json"
+    assert _write_json(str(out), payload) == EXIT_OK
+    buf = io.StringIO(newline="")
+    json.dump(payload, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    assert out.read_bytes() == buf.getvalue().encode("utf-8")
+    assert capsys.readouterr().out == f"wrote {out}\n"
+
+
+def test_publish_replaces_the_target_only_when_complete(tmp_path, capsys):
+    out = tmp_path / "a.txt"
+    out.write_bytes(b"before\n")
+
+    def chunks():
+        yield "half "
+        assert out.read_bytes() == b"before\n"
+        assert [p.name for p in tmp_path.glob("*.part")] == [
+            f"a.txt.{os.getpid()}.part"]
+        yield "done\n"
+
+    assert _publish(str(out), chunks()) == EXIT_OK
+    assert out.read_bytes() == b"half done\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert capsys.readouterr().out == f"wrote {out}\n"
+
+
+# stdout of each command at its default arguments; {gap} is the report's
+# worst_numeric_gap
+_DEFAULT_STDOUT = {
+    "density": ["wrote density.csv"], "peaks": ["wrote peaks.csv"],
+    "caustic": ["wrote caustic.csv"], "paths": ["wrote paths.csv"],
+    "phasespace": ["wrote phasespace.csv"],
+    "observables": ["wrote observables.json",
+                    "worst numeric gap {gap:.3e} (tol 1.000e-08)"],
+    "verify": ["ok   normalization", "ok   t0_identity",
+               "ok   residual_convergence", "ok   spectral_oracle",
+               "ok   caustic_peak_identity", "wrote verify.json"]}
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_stdout_at_default_arguments(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    assert main([name]) == EXIT_OK
+    gap = (json.loads((tmp_path / "observables.json").read_text())
+           ["worst_numeric_gap"] if name == "observables" else None)
+    assert capsys.readouterr().out.splitlines() == [
+        line.format(gap=gap) for line in _DEFAULT_STDOUT[name]]
+    assert [p.name for p in tmp_path.iterdir()] == [
+        f"{name}.{_COMMANDS[name].formats[0]}"]
+
+
 def test_unwritable_path_is_io_error(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["caustic", "--nt", "3", "--tmin", "0", "--tmax", "1",
@@ -468,6 +611,17 @@ def _argv(draw, name, draws=_DRAWS):
     return argv
 
 
+_SENTINEL = b"left by an earlier run\n"
+
+
+def _assert_all_or_nothing(folder, out, rc, argv):
+    """Exits 0 and 1 publish the artifact; any other leaves ``out`` as it
+    was. No exit leaves a part file."""
+    published = rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert (out.read_bytes() != _SENTINEL) == published, (rc, argv)
+    assert list(folder.glob("*.part")) == [], argv
+
+
 @pytest.mark.parametrize("name", list(_COMMANDS))
 def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, name):
     out = tmp_path / "fuzz.out"
@@ -476,10 +630,11 @@ def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, name):
               database=None)
     @given(argv=_argv(name))
     def run(argv):
-        out.unlink(missing_ok=True)
+        out.write_bytes(_SENTINEL)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(argv + ["--out", str(out)])
+        _assert_all_or_nothing(tmp_path, out, rc, argv)
         assert rc in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG,
                       EXIT_NO_CONVERGENCE, EXIT_IO), argv
         if rc == EXIT_OK and name in _HEADERS:
@@ -503,10 +658,11 @@ def test_fuzzed_peaks_up_to_the_order_limit(tmp_path):
               database=None)
     @given(argv=_argv("peaks", _PEAKS_DRAWS))
     def run(argv):
-        out.unlink(missing_ok=True)
+        out.write_bytes(_SENTINEL)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(argv + ["--out", str(out)])
+        _assert_all_or_nothing(tmp_path, out, rc, argv)
         assert rc in (EXIT_OK, EXIT_NO_CONVERGENCE), argv
         if rc == EXIT_OK:
             n = int(argv[argv.index("--n") + 1])
@@ -654,8 +810,7 @@ def test_cells_single_value_is_not_duplicated():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_writer_non_finite_and_empty_tables(tmp_path, fmt):
-    config = RunConfig(command="density", out=str(tmp_path / "t"), fmt=fmt)
+def test_writer_non_finite_and_empty_tables(fmt):
     header = ("x", "t", "density")
     row = (math.nan, math.inf, -math.inf)
     rows = [(-0.0, 1e-300, 5), row, (2.5, 1e16, -7)]
@@ -663,8 +818,8 @@ def test_writer_non_finite_and_empty_tables(tmp_path, fmt):
               tuple(_cells(np.array([v]), fmt) for v in row),
               ([], [], []),
               tuple(_cells([v], fmt) for v in rows[2])]
-    _write_table(config, header, blocks)
-    assert (tmp_path / "t").read_bytes() == stdlib_bytes(fmt, header, rows)
+    text = "".join(_table_text(fmt, header, blocks))
+    assert text.encode("utf-8") == stdlib_bytes(fmt, header, rows)
     for empty in ([], [([], [], [])]):
-        _write_table(config, header, empty)
-        assert (tmp_path / "t").read_bytes() == stdlib_bytes(fmt, header, [])
+        text = "".join(_table_text(fmt, header, empty))
+        assert text.encode("utf-8") == stdlib_bytes(fmt, header, [])
