@@ -28,7 +28,8 @@ order above ``MAX_ORDER`` = 650 and a grid too large for memory), 3
 numerical failure (non-convergence or a value outside double range), 4 I/O
 failure. ``verify``'s spectral oracle refuses, with a diagnostic, a box the
 packet outgrows and a grid too coarse for its momentum content (past the
-Nyquist wavenumber pi / dx).
+Nyquist wavenumber pi / dx). Its grid is centred on x = 0, so ``verify``
+exits 2 unless ``--xmin`` is exactly -``--xmax``.
 """
 
 import argparse
@@ -50,8 +51,10 @@ from .errors import (BracketingError, ConvergenceError, DomainError,
 from .observables import AiryParams, table_report
 from .propagator_oracle import (SpectralGrid, analytic_field, compare_fields,
                                 spectral_propagate)
-from .semiclassics import (PhasePoint, caustic, evolve_path, find_peaks,
-                           initial_conditions, peak_hyperbola_n2, shell_axes)
+from .semiclassics import (caustic, evolve_path, find_peaks,
+                           path_family, peak_hyperbola_n2)
+# initial_conditions is not called here; perfbench/tracing.py wraps the name.
+from .semiclassics import initial_conditions  # noqa: F401
 from .wavefunction import (GridSpec, WaveParams, psi, psi_initial,
                            psi_phase_flipped, residual_convergence,
                            total_probability)
@@ -235,44 +238,35 @@ def cmd_caustic(config: RunConfig) -> int:
                     _table_text(fmt, ("t", "x_plus", "x_minus"), blocks()))
 
 
-def _path_blocks(config: RunConfig, per_angle: bool):
-    """Cells of the straight-line family: one block per launch angle with
-    columns (theta, t, x, p), or one per time with columns (t, theta, x, p).
-    ``evolve_path`` moves an array of times or of launch points; its
-    ``x + p * t / m`` rounds each element as it rounds a scalar.
-    """
+def _path_grid(config: RunConfig):
+    """The ring from ``path_family``, the times, and x on a (time, angle)
+    grid from one ``evolve_path`` call, which rounds as for scalars."""
     params = config.wave_params()
-    fmt = config.fmt
     angles = np.linspace(0.0, 2.0 * math.pi, config.thetas, endpoint=False)
-    starts = [initial_conditions(params, theta) for theta in angles.tolist()]
-    if per_angle:
-        ts = np.array(config.times)
-        t_cells = _cells(ts, fmt)
-        for start in starts:
-            moved = evolve_path(start, ts, params.m)
-            theta_cell, p_cell = _cells((start.theta, start.p), fmt)
-            yield ([theta_cell] * ts.size, t_cells, _cells(moved.x, fmt),
-                   [p_cell] * ts.size)
-    else:
-        ring = PhasePoint(x=np.array([s.x for s in starts]),
-                          p=np.array([s.p for s in starts]), theta=angles)
-        theta_cells, p_cells = _cells(angles, fmt), _cells(ring.p, fmt)
-        for t in config.times:
-            moved = evolve_path(ring, t, params.m)
-            yield (_cells([t], fmt) * angles.size, theta_cells,
-                   _cells(moved.x, fmt), p_cells)
+    ring = path_family(params, angles).ring
+    ts = np.array(config.times)
+    return ring, ts, evolve_path(ring, ts[:, None], params.m).x
 
 
 def cmd_paths(config: RunConfig) -> int:
-    blocks = _path_blocks(config, per_angle=True)
+    ring, ts, xs = _path_grid(config)
+    fmt = config.fmt
+    t_cells = _cells(ts, fmt)
+    blocks = (([theta] * ts.size, t_cells, _cells(x, fmt), [p] * ts.size)
+              for theta, p, x in zip(_cells(ring.theta, fmt),
+                                     _cells(ring.p, fmt), xs.T))
     return _publish(config.output_path(),
-                    _table_text(config.fmt, ("theta", "t", "x", "p"), blocks))
+                    _table_text(fmt, ("theta", "t", "x", "p"), blocks))
 
 
 def cmd_phasespace(config: RunConfig) -> int:
-    blocks = _path_blocks(config, per_angle=False)
+    ring, ts, xs = _path_grid(config)
+    fmt = config.fmt
+    theta_cells, p_cells = _cells(ring.theta, fmt), _cells(ring.p, fmt)
+    blocks = (([t] * ring.theta.size, theta_cells, _cells(x, fmt), p_cells)
+              for t, x in zip(_cells(ts, fmt), xs))
     return _publish(config.output_path(),
-                    _table_text(config.fmt, ("t", "theta", "x", "p"), blocks))
+                    _table_text(fmt, ("t", "theta", "x", "p"), blocks))
 
 
 def cmd_observables(config: RunConfig) -> int:
@@ -349,6 +343,10 @@ def _verify_checks(config: RunConfig, corrupt_phase: bool):
 
 
 def cmd_verify(config: RunConfig, corrupt_phase: bool = False) -> int:
+    if config.x_min != -config.x_max:  # the oracle's SpectralGrid is centred
+        raise DomainError(f"verify's box must be centred on x = 0 (--xmin "
+                          f"exactly -(--xmax)), got --xmin {config.x_min!r} "
+                          f"--xmax {config.x_max!r}")
     checks = _verify_checks(config, corrupt_phase)
     all_ok = all(c["passed"] for c in checks)
     report = {"passed": all_ok, "checks": checks,
@@ -454,8 +452,6 @@ def _config_from_args(args) -> RunConfig:
         if not 0.0 < scale < math.inf:
             raise DomainError(f"scale alpha(t) = m t_c / (hbar (t_c^2 + t^2)) "
                               f"is not a positive finite number at t = {t}")
-    if "thetas" in _COMMANDS[config.command].flags:
-        shell_axes(params)  # the ellipse the paths launch from
     return config
 
 

@@ -5,6 +5,11 @@ oscillator state: x0 = sqrt(2E/(m omega**2)) cos(theta), p0 = sqrt(2mE)
 sin(theta). Each path is a straight line, the family sweeps out a sheared
 ellipse of invariant area, and its fold envelope (the caustic) traces the
 same hyperbola as the outer density ridge of the order-2 packet.
+
+``path_family`` holds the launch points as one ring, a ``PhasePoint`` of
+float64 arrays with one entry per angle; ``evolve_path`` moves it to a time,
+or to a (time, angle) grid, rounding each element as for scalars. The
+``paths`` and ``phasespace`` commands write that ring.
 """
 
 import math
@@ -36,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """One classical phase-space point, tagged by its launch angle."""
+    """A phase-space point tagged by its launch angle; arrays make a ring."""
 
     x: float
     p: float
@@ -45,11 +50,12 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class PathFamily:
-    """A ring of initial conditions sharing one parameter set."""
+    """A ring of initial conditions sharing one parameter set: ``ring``'s
+    arrays hold, per launch angle in the order given, exactly what
+    ``initial_conditions`` gives at that angle."""
 
     params: WaveParams
-    thetas: Tuple[float, ...]
-    points: Tuple[PhasePoint, ...]
+    ring: PhasePoint
 
 
 class CausticPair(NamedTuple):
@@ -80,11 +86,13 @@ def initial_conditions(params: WaveParams, theta: float) -> PhasePoint:
 
 
 def path_family(params: WaveParams, thetas: Sequence[float]) -> PathFamily:
-    thetas = tuple(float(th) for th in thetas)
+    thetas = [float(th) for th in thetas]
     if len(thetas) < 3:
         raise DomainError("need at least 3 launch angles")
-    pts = tuple(initial_conditions(params, th) for th in thetas)
-    return PathFamily(params=params, thetas=thetas, points=pts)
+    pts = [initial_conditions(params, th) for th in thetas]
+    ring = PhasePoint(x=np.array([pt.x for pt in pts]),
+                      p=np.array([pt.p for pt in pts]), theta=np.array(thetas))
+    return PathFamily(params=params, ring=ring)
 
 
 def evolve_path(point: PhasePoint, t: float, m: float) -> PhasePoint:
@@ -99,13 +107,8 @@ def evolve_path(point: PhasePoint, t: float, m: float) -> PhasePoint:
 
 def phase_space_snapshot(family: PathFamily, t: float) -> np.ndarray:
     """(N, 2) array of (x, p) rows at time t, ordered as the launch angles."""
-    m = family.params.m
-    out = np.empty((len(family.points), 2))
-    for i, pt in enumerate(family.points):
-        moved = evolve_path(pt, t, m)
-        out[i, 0] = moved.x
-        out[i, 1] = moved.p
-    return out
+    moved = evolve_path(family.ring, t, family.params.m)
+    return np.column_stack((moved.x, moved.p))
 
 
 def enclosed_area(vertices: np.ndarray) -> float:

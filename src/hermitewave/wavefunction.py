@@ -102,6 +102,8 @@ class GridSpec:
             raise DomainError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise DomainError("need x_min < x_max")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise DomainError("x_max - x_min overflows double range")
         if self.nx < 2:
             raise DomainError("need nx >= 2")
         t_parts = (self.t_min, self.t_max, self.nt)
@@ -110,6 +112,8 @@ class GridSpec:
                 raise DomainError("t_min, t_max, nt must be given together")
             if not self.t_min <= self.t_max:
                 raise DomainError("need t_min <= t_max")
+            if not math.isfinite(self.t_max - self.t_min):
+                raise DomainError("t_max - t_min overflows double range")
             if self.nt < 1:
                 raise DomainError("need nt >= 1")
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hermitewave import _kernels
@@ -360,6 +360,38 @@ def test_negative_value_in_any_float_spelling(tmp_path, command, flag, value,
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    *[pytest.param([name, "--tmin", "-1e308", "--tmax", "1e308", "--nt", "3"],
+                   id=f"{name}-t") for name in _COMMANDS],
+    pytest.param(["density", "--xmin", "-1e308", "--xmax", "1e308", "--nx",
+                  "5"], id="density-x")])
+def test_window_whose_span_overflows_exits_two(tmp_path, capsys, argv):
+    # each bound is finite, their difference is not
+    out = tmp_path / "w.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    axis = "x" if "--xmin" in argv else "t"
+    assert err == f"config error: {axis}_max - {axis}_min overflows double " \
+                  f"range\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("xmin, xmax", [("0", "80"), ("-39", "41")])
+def test_verify_box_off_centre_exits_two(tmp_path, capsys, xmin, xmax):
+    # the oracle's grid is centred: [0, 80] would be checked as [-40, 40)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--xmin", xmin, "--xmax", xmax,
+                 "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: verify's box must be "
+                                   "centred on x = 0")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_infinite_bound_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "d.csv"
     argv = ["density", "--tmin", "-inf", "--out", str(out)]
@@ -549,9 +581,9 @@ def test_flag_the_command_does_not_read_exits_two(tmp_path, argv):
     # the residual at half the step is exactly 0
     ["verify", "--n", "1", "--tc", "3", "--hbar", "1000", "--mass", "1e30",
      "--tmin", "-0.001", "--tmax", "1", "--nt", "3", "--nx", "64"],
-    # numpy overflows in the oracle's moments of a box reaching 1e155
+    # numpy overflows in the oracle's moments of a box 1e155 wide
     ["verify", "--n", "0", "--mass", "1", "--tmin=-1", "--tmax=-1", "--nt",
-     "1", "--xmin=-1e155", "--xmax=-1", "--nx", "64"]])
+     "1", "--xmin=-5e154", "--xmax=5e154", "--nx", "64"]])
 def test_value_outside_double_range_exits_three(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
     assert main(argv + ["--out", str(out)]) == EXIT_NO_CONVERGENCE
@@ -600,7 +632,10 @@ def _argv(draw, name, draws=_DRAWS):
     command = _COMMANDS[name]
     argv = [name, "--format", draw(st.sampled_from(command.formats))]
     for flag in _SHARED_FLAGS + command.flags:
-        if flag in _ORDERED:
+        if name == "verify" and flag == "x_min":  # verify takes a centred box
+            half = repr(draw(_magnitudes()))
+            argv += ["--xmin", "-" + half, "--xmax", half]
+        elif flag in _ORDERED:
             lo, hi = sorted((draw(draws[flag]), draw(draws[flag])))
             argv += [_option(flag), repr(lo), _option(_ORDERED[flag]),
                      repr(hi)]
@@ -612,6 +647,9 @@ def _argv(draw, name, draws=_DRAWS):
 
 
 _SENTINEL = b"left by an earlier run\n"
+# Each assertion names its argv, so a failing example is reported as drawn;
+# shrinking it could take minutes of reruns.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def _assert_all_or_nothing(folder, out, rc, argv):
@@ -627,7 +665,7 @@ def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, name):
     out = tmp_path / "fuzz.out"
 
     @settings(max_examples=30, deadline=None, derandomize=True,
-              database=None)
+              database=None, phases=_NO_SHRINK)
     @given(argv=_argv(name))
     def run(argv):
         out.write_bytes(_SENTINEL)
@@ -655,7 +693,7 @@ def test_fuzzed_peaks_up_to_the_order_limit(tmp_path):
     out = tmp_path / "fuzz.out"
 
     @settings(max_examples=25, deadline=None, derandomize=True,
-              database=None)
+              database=None, phases=_NO_SHRINK)
     @given(argv=_argv("peaks", _PEAKS_DRAWS))
     def run(argv):
         out.write_bytes(_SENTINEL)

@@ -49,8 +49,37 @@ def test_phase_space_snapshot_shape_and_t0():
     fam = path_family(p, thetas)
     snap = phase_space_snapshot(fam, 0.0)
     assert snap.shape == (64, 2)
-    for row, pt in zip(snap, fam.points):
-        assert row[0] == pt.x and row[1] == pt.p
+    assert fam.ring.x.shape == fam.ring.p.shape == fam.ring.theta.shape == (64,)
+    assert (snap[:, 0] == fam.ring.x).all() and (snap[:, 1] == fam.ring.p).all()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _decades(k):
+    return st.floats(-k, k).map(lambda e: 10.0 ** e)
+
+
+# Within 50 decades of 1 the shell's semi-axes (shell_axes) and x + p t / m
+# are all finite, so every element can be compared bit for bit.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 650), t_c=_decades(50), hbar=_decades(50),
+       m=_decades(50),
+       thetas=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=64),
+       t=st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), _decades(50)).map(
+           lambda sv: sv[0] * sv[1]))
+def test_family_ring_and_snapshot_match_the_scalar_routes(n, t_c, hbar, m,
+                                                          thetas, t):
+    p = WaveParams(n=n, t_c=t_c, hbar=hbar, m=m)
+    fam = path_family(p, thetas)
+    points = [initial_conditions(p, th) for th in thetas]
+    assert np.array_equal(_bits(fam.ring.x), _bits([pt.x for pt in points]))
+    assert np.array_equal(_bits(fam.ring.p), _bits([pt.p for pt in points]))
+    assert np.array_equal(_bits(fam.ring.theta), _bits(thetas))
+    moved = [evolve_path(pt, t, m) for pt in points]
+    assert np.array_equal(_bits(phase_space_snapshot(fam, t)),
+                          _bits([(pt.x, pt.p) for pt in moved]))
 
 
 def test_enclosed_area_simple_polygons():
