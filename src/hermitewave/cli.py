@@ -51,10 +51,11 @@ from .errors import (BracketingError, ConvergenceError, DomainError,
 from .observables import AiryParams, table_report
 from .propagator_oracle import (SpectralGrid, analytic_field, compare_fields,
                                 spectral_propagate)
-from .semiclassics import (caustic, evolve_path, find_peaks,
-                           path_family, peak_hyperbola_n2)
-# initial_conditions is not called here; perfbench/tracing.py wraps the name.
-from .semiclassics import initial_conditions  # noqa: F401
+from .semiclassics import (caustic, evolve_path, path_family,
+                           peak_hyperbola_n2, xi_ridges)
+# find_peaks and initial_conditions are not called here;
+# perfbench/tracing.py wraps the names.
+from .semiclassics import find_peaks, initial_conditions  # noqa: F401
 from .wavefunction import (GridSpec, WaveParams, psi, psi_initial,
                            psi_phase_flipped, residual_convergence,
                            total_probability)
@@ -208,10 +209,13 @@ def cmd_density(config: RunConfig) -> int:
 def cmd_peaks(config: RunConfig) -> int:
     params = config.wave_params()
     fmt = config.fmt
+    # the ridges in xi hold at every t: one solve, scaled to each slice as
+    # find_peaks scales it
+    xi = xi_ridges(params.n)
 
     def blocks():
         for t in config.times:
-            peaks = find_peaks(params, t)
+            peaks = xi / math.sqrt(params.alpha(t))
             yield (_cells([t], fmt) * peaks.size, _cells(peaks, fmt),
                    _cells(_branch_labels(peaks.size), fmt))
 

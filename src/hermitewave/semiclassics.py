@@ -10,6 +10,11 @@ same hyperbola as the outer density ridge of the order-2 packet.
 float64 arrays with one entry per angle; ``evolve_path`` moves it to a time,
 or to a (time, angle) grid, rounding each element as for scalars. The
 ``paths`` and ``phasespace`` commands write that ring.
+
+The density ridges are fixed in xi = sqrt(alpha(t)) x: ``xi_ridges`` solves
+them once per order, and each time slice divides them by sqrt(alpha(t)), so
+a ridge moves as x_k(t) = xi_k / sqrt(alpha(t)). ``find_peaks`` does both
+for one slice; the ``peaks`` command solves once and scales every slice.
 """
 
 import math
@@ -34,6 +39,7 @@ __all__ = [
     "enclosed_area",
     "expected_area",
     "caustic",
+    "xi_ridges",
     "find_peaks",
     "peak_hyperbola_n2",
 ]
@@ -89,9 +95,12 @@ def path_family(params: WaveParams, thetas: Sequence[float]) -> PathFamily:
     thetas = [float(th) for th in thetas]
     if len(thetas) < 3:
         raise DomainError("need at least 3 launch angles")
-    pts = [initial_conditions(params, th) for th in thetas]
-    ring = PhasePoint(x=np.array([pt.x for pt in pts]),
-                      p=np.array([pt.p for pt in pts]), theta=np.array(thetas))
+    # one shell for the ring; per angle the same scalar products as
+    # initial_conditions, so each launch point keeps its bits
+    x_axis, p_axis = shell_axes(params)
+    ring = PhasePoint(x=np.array([x_axis * math.cos(th) for th in thetas]),
+                      p=np.array([p_axis * math.sin(th) for th in thetas]),
+                      theta=np.array(thetas))
     return PathFamily(params=params, ring=ring)
 
 
@@ -142,20 +151,19 @@ def caustic(params: WaveParams, t: float) -> CausticPair:
     return CausticPair(x_plus=r, x_minus=-r)
 
 
-def find_peaks(params: WaveParams, t: float) -> np.ndarray:
-    """All n + 1 density maxima in x at time t, ascending.
+def xi_ridges(n: int) -> np.ndarray:
+    """All n + 1 density maxima of the order-n packet in xi, ascending.
 
-    Up to positive factors rho'(xi) = H_n(xi) g(xi), with
-    g = 2n H_{n-1} - xi H_n. The zeros of g interlace with those of H_n,
-    where rho vanishes, so every root of g is a maximum and there is no
+    The density is a function of xi = sqrt(alpha(t)) x alone, so these
+    roots hold at every t. Up to positive factors rho'(xi) = H_n(xi) g(xi),
+    with g = 2n H_{n-1} - xi H_n. The zeros of g interlace with those of
+    H_n, where rho vanishes, so every root of g is a maximum and there is no
     curvature test to make. Scans g over |xi| <= sqrt(2n + 1) + 4 (the
     classically allowed region plus tail) and polishes each sign change
     with Brent's method. Raises ConvergenceError when the scan leaves
     double range (the raw recurrence overflows there from n = 189) or does
     not find exactly n + 1 roots.
     """
-    n = params.n
-    sqrt_a = math.sqrt(params.alpha(t))
     xi_max = math.sqrt(2.0 * n + 1.0) + 4.0
 
     def g(xi):
@@ -184,7 +192,15 @@ def find_peaks(params: WaveParams, t: float) -> np.ndarray:
         raise ConvergenceError(
             f"ridge scan for n = {n} found {len(roots)} ridges, not "
             f"{n + 1}")
-    return np.array(roots) / sqrt_a
+    return np.array(roots)
+
+
+def find_peaks(params: WaveParams, t: float) -> np.ndarray:
+    """All n + 1 density maxima in x at time t, ascending: ``xi_ridges``
+    scaled to the slice, x_k(t) = xi_k / sqrt(alpha(t)). A caller with
+    many slices of one order solves ``xi_ridges`` once and scales it the
+    same way, which gives the same bits."""
+    return xi_ridges(params.n) / math.sqrt(params.alpha(t))
 
 
 def peak_hyperbola_n2(params: WaveParams, t: float) -> CausticPair:

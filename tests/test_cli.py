@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from hermitewave import _kernels
+from hermitewave import _kernels, cli, semiclassics
 from hermitewave.cli import (_COMMANDS, _SHARED_FLAGS, _option,
                              EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO,
                              EXIT_NO_CONVERGENCE, EXIT_OK, RunConfig,
@@ -145,6 +145,55 @@ def test_peaks_past_the_overflowing_recurrence_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ConvergenceError: ")
     assert "n = 200" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _count_hermite_pairs(monkeypatch):
+    """A one-item list that counts the ridge solve's ``hermite_pair``
+    calls from here on."""
+    calls = [0]
+    original = semiclassics.hermite_pair
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(semiclassics, "hermite_pair", counted)
+    return calls
+
+
+def test_peaks_solves_the_ridges_once_per_command(tmp_path, monkeypatch):
+    # the ridges in xi hold at every t, so 81 slices cost what one does
+    calls = _count_hermite_pairs(monkeypatch)
+    counts = []
+    for nt in (1, 81):
+        calls[0] = 0
+        assert main(["peaks", "--n", "8", "--nt", str(nt), "--out",
+                     str(tmp_path / f"p{nt}.csv")]) == EXIT_OK
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_peaks_past_the_order_limit_fails_in_one_scan(tmp_path, capsys,
+                                                      monkeypatch):
+    calls = _count_hermite_pairs(monkeypatch)
+    published = []
+    publish = cli._publish
+
+    def recorded(path, chunks):
+        published.append(path)
+        return publish(path, chunks)
+
+    monkeypatch.setattr(cli, "_publish", recorded)
+    out = tmp_path / "p.csv"
+    assert main(["peaks", "--n", "189", "--nt", "81", "--out",
+                 str(out)]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ConvergenceError: ridge scan "
+                          "for n = 189 leaves double range")
+    # one scan of 4096 points, refused before the writer starts
+    assert 0 < calls[0] <= 4096
+    assert published == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -777,6 +826,33 @@ def test_grid_artifact_bytes_match_stdlib(tmp_path, kind, fmt):
     rows = reference_rows(kind)
     assert rows
     assert out.read_bytes() == stdlib_bytes(fmt, _HEADERS[kind], rows)
+
+
+def test_peaks_rows_are_the_per_slice_find_peaks_rows(tmp_path):
+    out = tmp_path / "peaks.out"
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(0, 60), t_c=_magnitudes(6.0),
+           hbar=_magnitudes(6.0), m=_magnitudes(6.0),
+           window=st.tuples(_signed(6.0), _signed(6.0)).map(sorted),
+           nt=st.integers(1, 4), fmt=st.sampled_from(("csv", "json")))
+    def run(n, t_c, hbar, m, window, nt, fmt):
+        argv = ["peaks", "--n", str(n), "--tc", repr(t_c), "--hbar",
+                repr(hbar), "--mass", repr(m), "--tmin", repr(window[0]),
+                "--tmax", repr(window[1]), "--nt", str(nt), "--format", fmt,
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK, argv
+        p = WaveParams(n=n, t_c=t_c, hbar=hbar, m=m)
+        times = RunConfig(command="peaks", t_min=window[0],
+                          t_max=window[1], nt=nt).grid().ts().tolist()
+        rows = [(t, x, b) for t in times
+                for x, b in zip(find_peaks(p, t).tolist(),
+                                _branch_labels(n + 1))]
+        assert out.read_bytes() == stdlib_bytes(fmt, _HEADERS["peaks"],
+                                                rows), argv
+
+    run()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
