@@ -2,12 +2,13 @@
 packet's scale alpha(t) and its phase.
 
 Every packet route goes through ``hermite_function_pair``: the array profiles
-here and the scalar closed forms in ``wavefunction``. The recurrence carries
-phi_k(xi) = H_k(xi) e^{-xi^2/2} / sqrt(2^k k! sqrt(pi)) with the envelope
-folded in at every step, so it stays O(1) for any order instead of
-multiplying a huge raw polynomial by a tiny exponential (Bunck, BIT 49,
-2009). Its coefficients are Python floats, so the same loop runs on a float
-or on a float64 array; only the seed ``exp`` differs.
+here, the scalar closed forms in ``wavefunction`` and the ridge scan in
+``semiclassics``. The recurrence carries phi_k(xi) = H_k(xi) e^{-xi^2/2} /
+sqrt(2^k k! sqrt(pi)) with the envelope folded in at every step, so it stays
+O(1) for any order instead of multiplying a huge raw polynomial by a tiny
+exponential (Bunck, BIT 49, 2009). Its coefficients are Python floats, so
+the same loop runs on a float or on a float64 array; only the seed ``exp``
+differs.
 
 Order limit: the seed pi^(-1/4) exp(-xi^2/2) underflows for |xi| > 38.6,
 while the packet reaches out to its turning point |xi| = sqrt(2n + 1). On a

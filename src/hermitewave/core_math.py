@@ -1,8 +1,9 @@
 """Scalar numerical building blocks.
 
-Hermite polynomial pairs by upward recurrence on Python floats, an adaptive
-Gauss-Kronrod quadrature, and a bracketed root finder by Brent's method.
-Everything here is pure and reentrant.
+Hermite polynomial pairs by upward recurrence on Python floats (a public
+name no packet route calls: the packet goes through ``_kernels``), an
+adaptive Gauss-Kronrod quadrature, and a bracketed root finder by Brent's
+method. Everything here is pure and reentrant.
 """
 
 import heapq
@@ -42,12 +43,6 @@ class QuadratureResult:
     evaluations: int
 
 
-# 2k for k = 0, 1, ...: the recurrence's second coefficient as Python
-# floats. The tuple only ever grows, by replacement, so readers never see
-# it change under them.
-_TWO_K = ()
-
-
 def hermite_pair(n: int, y: float) -> HermitePair:
     """Evaluate (H_n(y), H_{n-1}(y)) by upward recurrence.
 
@@ -56,23 +51,20 @@ def hermite_pair(n: int, y: float) -> HermitePair:
     degenerates gracefully.
 
     The loop runs on Python floats whatever the type of ``y``, with 2y
-    formed once and 2k read from a cached tuple. The products are the
-    same IEEE operations as in ``2.0 * y * h_k - 2.0 * k * h_km1``, so the
-    values are bit for bit those of that loop, inf and nan included; an
-    overflow gives inf without a numpy warning.
+    formed once. The products are the same IEEE operations as in
+    ``2.0 * y * h_k - 2.0 * k * h_km1``, so the values are bit for bit
+    those of that loop, inf and nan included; an overflow gives inf
+    without a numpy warning.
     """
-    global _TWO_K
     if n < 0 or n != int(n):
         raise DomainError(f"order must be a non-negative integer, got {n}")
     if not math.isfinite(y):
         raise DomainError(f"argument must be finite, got {y}")
     n = int(n)
-    if len(_TWO_K) < n:
-        _TWO_K = tuple(2.0 * k for k in range(2 * n))
     two_y = 2.0 * float(y)
     hn, hnm1 = 1.0, 0.0
-    for two_k in _TWO_K[:n]:
-        hnm1, hn = hn, two_y * hn - two_k * hnm1
+    for k in range(n):
+        hnm1, hn = hn, two_y * hn - 2.0 * k * hnm1
     return HermitePair(h_n=hn, h_nm1=hnm1, n=n, y=y)
 
 

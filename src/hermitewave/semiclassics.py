@@ -23,7 +23,10 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core_math import find_root, hermite_pair
+from . import _kernels
+# hermite_pair is not called here; it stays importable as
+# ``semiclassics.hermite_pair`` because perfbench/tracing.py wraps that name.
+from .core_math import find_root, hermite_pair  # noqa: F401
 from .errors import ConvergenceError, DomainError
 from .wavefunction import WaveParams, energy
 
@@ -155,31 +158,30 @@ def xi_ridges(n: int) -> np.ndarray:
     """All n + 1 density maxima of the order-n packet in xi, ascending.
 
     The density is a function of xi = sqrt(alpha(t)) x alone, so these
-    roots hold at every t. Up to positive factors rho'(xi) = H_n(xi) g(xi),
-    with g = 2n H_{n-1} - xi H_n. The zeros of g interlace with those of
-    H_n, where rho vanishes, so every root of g is a maximum and there is no
-    curvature test to make. Scans g over |xi| <= sqrt(2n + 1) + 4 (the
-    classically allowed region plus tail) and polishes each sign change
-    with Brent's method. Raises ConvergenceError when the scan leaves
-    double range (the raw recurrence overflows there from n = 189) or does
-    not find exactly n + 1 roots.
+    roots hold at every t. With phi_n the normalized Hermite function,
+    rho'(xi) is proportional to phi_n(xi) g(xi), where g = phi_n' =
+    sqrt(2n) phi_{n-1} - xi phi_n stays O(1) at every order. The zeros of
+    g interlace with those of phi_n, where rho vanishes, so every root of
+    g is a maximum and there is no curvature test to make. Scans g over
+    |xi| <= min(sqrt(2n + 1) + 4, 38) (the classically allowed region plus
+    tail) and polishes each sign change with Brent's method. The cut at 38
+    keeps the scan where the seed exp(-xi^2/2) is nonzero: beyond 38.6 it
+    underflows and g is exactly 0, which must not read as a root, while a
+    true zero of g on a grid point counts once. Raises ConvergenceError
+    unless the scan finds exactly n + 1 roots.
     """
-    xi_max = math.sqrt(2.0 * n + 1.0) + 4.0
+    xi_max = min(math.sqrt(2.0 * n + 1.0) + 4.0, 38.0)
+    root_2n = math.sqrt(2.0 * n)
 
     def g(xi):
-        pair = hermite_pair(n, xi)
-        return 2.0 * n * pair.h_nm1 - xi * pair.h_n
+        phi, phi_prev = _kernels.hermite_function_pair(n, xi)
+        return root_2n * phi_prev - xi * phi
 
-    grid = np.linspace(-xi_max, xi_max, 4096)
-    # an overflow is reported below, as the scan leaving double range
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.array([g(v) for v in grid])
-    if not np.isfinite(vals).all():
-        raise ConvergenceError(
-            f"ridge scan for n = {n} leaves double range: the Hermite "
-            f"recurrence overflows within |xi| <= {xi_max:.4g}")
+    # Python floats: the recurrence keeps its argument's type
+    grid = np.linspace(-xi_max, xi_max, 4096).tolist()
+    vals = [g(v) for v in grid]
     roots = []
-    for i in range(grid.size - 1):
+    for i in range(len(grid) - 1):
         # a zero on the grid is a root once, not also a bracket end
         a, b = vals[i], vals[i + 1]
         if a == 0.0:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hermitewave import core_math
 from hermitewave.core_math import _gk_panel, find_root, hermite_pair, integrate
 from hermitewave.errors import BracketingError, ConvergenceError, DomainError
 
@@ -41,10 +40,7 @@ def bits(value):
     return np.float64(value).view(np.uint64)
 
 
-def test_hermite_pair_is_bit_identical_to_the_textbook_loop(monkeypatch):
-    # start from an empty coefficient tuple: a small order grows it, a large
-    # one grows it again, and later orders read a prefix of it
-    monkeypatch.setattr(core_math, "_TWO_K", ())
+def test_hermite_pair_is_bit_identical_to_the_textbook_loop():
     # at y = +-30 the loop overflows to +-inf at n = 176, and inf - inf
     # gives nan from n = 177 on (at every y by n = 650): both must land in
     # the same places

@@ -3,17 +3,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermitewave import semiclassics
+from hermitewave import _kernels, semiclassics
 from hermitewave.core_math import find_root
 from hermitewave.errors import ConvergenceError, DomainError
 from hermitewave.semiclassics import (CausticPair, caustic, enclosed_area,
                                       evolve_path, expected_area, find_peaks,
                                       initial_conditions, path_family,
                                       peak_hyperbola_n2, phase_space_snapshot)
-from hermitewave.wavefunction import WaveParams, energy
+from hermitewave.wavefunction import MAX_ORDER, WaveParams, energy
 
 
 def test_initial_conditions_on_energy_shell():
@@ -198,10 +198,65 @@ def test_brent_polish_takes_few_evaluations(monkeypatch):
     assert max(counts) <= 12
 
 
-def test_find_peaks_refuses_an_overflowing_scan():
-    # the raw recurrence leaves double range inside the scan from n = 189
-    with pytest.raises(ConvergenceError, match="n = 190"):
-        find_peaks(WaveParams(n=190), 0.5)
+def test_find_peaks_finds_every_ridge_where_the_raw_recurrence_overflows():
+    # the raw Hermite recurrence overflows inside the scan from n = 189,
+    # the normalized one at no accepted order
+    peaks = find_peaks(WaveParams(n=190), 0.5)
+    assert peaks.size == 191
+    assert np.all(np.diff(peaks) > 0)
+
+
+def jacobi_ridges(n):
+    """The n + 1 ridges in xi as the eigenvalues of the symmetric
+    tridiagonal matrix with zero diagonal and off-diagonals sqrt(k/2) for
+    k = 1, ..., n - 1, then sqrt(n) (Golub & Welsch 1969)."""
+    off = np.sqrt(np.arange(1, n + 1) / 2.0)
+    off[-1:] = math.sqrt(n)  # the last coupling; no slot for n = 0
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 1000).map(
+           lambda k: round((MAX_ORDER + 1) ** (k / 1000)) - 1),
+       ratio=st.floats(-30.0, 30.0), log_t_c=st.floats(-6.0, 6.0),
+       log_hbar=st.floats(-6.0, 6.0), log_m=st.floats(-6.0, 6.0))
+@example(n=189, ratio=0.5, log_t_c=0.0, log_hbar=0.0, log_m=0.0)
+@example(n=MAX_ORDER, ratio=-3.0, log_t_c=2.0, log_hbar=-1.0, log_m=1.0)
+def test_find_peaks_matches_the_jacobi_eigenvalues(n, ratio, log_t_c,
+                                                   log_hbar, log_m):
+    params = WaveParams(n=n, t_c=10.0 ** log_t_c, hbar=10.0 ** log_hbar,
+                        m=10.0 ** log_m)
+    t = ratio * params.t_c
+    root = math.sqrt(params.alpha(t))
+    ref = jacobi_ridges(n)
+    got = find_peaks(params, t)
+    assert got.size == n + 1
+    # relative to the ridge, and to the packet's width near xi = 0
+    assert np.all(np.abs(got - ref / root)
+                  <= 1e-13 * np.maximum(np.abs(ref), 1.0) / root)
+
+
+def test_the_ridge_scan_brackets_on_python_floats(monkeypatch):
+    # the recurrence keeps its argument's type, and runs about 3x slower
+    # on numpy scalars than on floats
+    brackets = []
+
+    def recorded(f, lo, hi, **kwargs):
+        brackets.append((type(lo), type(hi)))
+        return find_root(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(semiclassics, "find_root", recorded)
+    semiclassics.xi_ridges(8)
+    assert len(brackets) == 9
+    assert set(brackets) == {(float, float)}
+
+
+def test_xi_ridges_refuses_a_wrong_ridge_count(monkeypatch):
+    # g = -xi has one root, where order 2 has three ridges
+    monkeypatch.setattr(_kernels, "hermite_function_pair",
+                        lambda n, xi: (1.0, 0.0))
+    with pytest.raises(ConvergenceError, match="found 1 ridges, not 3"):
+        semiclassics.xi_ridges(2)
 
 
 def test_outer_peaks_follow_hyperbola():
